@@ -1,23 +1,18 @@
 """Mutant screening: replay only the mutated module against baseline streams.
 
-The lockstep batch engine (:mod:`repro.tdf.engine.batch`) removes the
-per-window dispatch overhead of running many ``(mutant, testcase)``
-simulations, and divergence-based early exit retires *killed* members
-after a handful of windows — but a **surviving** mutant still simulates
-the whole cluster for the full testcase duration, and most mutants
-survive most testcases.  Those runs are almost entirely redundant: only
-one module's processing differs from the baseline.
-
-Screening exploits the determinism of static TDF.  For a mutant whose
-target module ``X`` has the same elaboration fingerprint as the
-baseline (module timesteps plus every port's rate/delay/timestep —
-:meth:`Simulator._attribute_key`), the full-cluster schedule is
-identical, so ``X`` fires at exactly the baseline's activation times
-and its inputs are exactly the baseline's token streams *as long as its
-own outputs match the baseline*.  That gives an induction over the
-global firing order: replay ``X`` alone, feeding it the recorded
-baseline input streams, and compare every produced token against the
-recorded baseline output streams.
+Most ``(mutant, testcase)`` pairs survive, and a surviving pair's full
+simulation is almost entirely redundant: only one module's processing
+differs from the baseline.  Screening exploits the determinism of
+static TDF.  For a mutant whose target module ``X`` has the same
+fingerprint as the baseline (module timesteps, every port's
+rate/delay/timestep — :meth:`Simulator._attribute_key` — and every
+input port's driver), the full-cluster schedule is identical, so ``X``
+fires at exactly the baseline's activation times and its inputs are
+exactly the baseline's token streams *as long as its own outputs match
+the baseline*.  That gives an induction over the global firing order:
+replay ``X`` alone, feeding it the recorded baseline input streams, and
+compare every token on its outputs, initialization's priming tokens
+included, against the recorded baseline output streams.
 
 * Every token equal and no dynamic attribute request filed → the full
   run is **provably identical** to the baseline: the mutant survives
@@ -25,10 +20,14 @@ recorded baseline output streams.
 * Anything else — a mismatching token, an exception from the mutated
   processing, a ``request_rate``/``request_timestep`` call, a
   fingerprint mismatch, a baseline that re-elaborated — is
-  **inconclusive**: the caller falls back to the full lockstep
-  simulation, which owns the verdict.  Screening therefore never
-  decides *killed*; it only ever proves *identical*, so the kill
-  matrix is byte-identical to the serial executor's by construction.
+  **inconclusive**: the caller falls back to the full simulation,
+  which owns the verdict.  Screening therefore never decides *killed*;
+  it only ever proves *identical*, so the kill matrix is byte-identical
+  to the unscreened executor's by construction.
+
+The induction assumes ``X`` reaches the rest of the cluster only
+through its output ports; a processing body that names ``cluster`` is
+not screened.
 
 The replay itself reuses the block compiler's generic firing op
 (:func:`repro.tdf.engine.compiler._make_generic_op`): the same
@@ -39,6 +38,7 @@ modules, driven here at ``j * timestep`` for each firing ``j``.
 from __future__ import annotations
 
 from collections import deque
+from math import copysign
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..tdf.engine.compiler import _make_generic_op
@@ -64,7 +64,7 @@ class TcScreenData:
     ``streams`` maps every *driven* signal name to its full baseline
     token-value sequence (output-delay priming values included, so
     token index ``i`` is the signal's ``i``-th write).  ``fingerprint``
-    is the baseline simulator's post-run attribute key and ``periods``
+    is the baseline simulator's post-run fingerprint and ``periods``
     its period count; ``eligible`` is False when the baseline
     re-elaborated mid-run (dynamic TDF), which invalidates the fixed
     firing grid the replay assumes.
@@ -86,28 +86,41 @@ class TcScreenData:
 
 
 def screen_fingerprint(sim) -> Tuple:
-    """Elaboration fingerprint for screening eligibility.
+    """Elaboration and binding fingerprint for screening eligibility.
 
-    :meth:`Simulator._attribute_key` with one normalization: the delay
-    of an input port bound to an *undriven* signal is zeroed.  Reads
-    from an undriven signal yield the signal's initial value regardless
-    of the cursor position (use-without-def semantics), and the
-    scheduler never waits on an undriven signal, so such a delay is
-    behaviourally inert — a mutant differing only there still executes
-    the baseline's schedule and streams exactly.
+    ``(attribute key, bindings)``: :meth:`Simulator._attribute_key`
+    with one normalization, plus every input port's driving
+    ``(module, port)``.  The bindings matter because a mutant may rewire
+    readers *outside* its target module (``drop``); with them equal,
+    every other module reads exactly the signals it read in the
+    baseline.
+
+    The normalization: the delay of an input port bound to an
+    *undriven* signal is zeroed.  Reads from an undriven signal yield
+    the signal's initial value regardless of the cursor position
+    (use-without-def semantics), and the scheduler never waits on an
+    undriven signal, so such a delay is behaviourally inert — a mutant
+    differing only there still executes the baseline's schedule and
+    streams exactly.
     """
     key = sim._attribute_key()
     undriven = set()
+    bindings = []
     for module in sim.cluster.modules:
         for port in module.in_ports():
             sig = port.signal
-            if sig is not None and sig.driver is None:
+            driver = sig.driver if sig is not None else None
+            if sig is not None and driver is None:
                 undriven.add((module.name, port.name))
-    if not undriven:
-        return key
-    normalized = []
-    for mod_name, req_ts, ports in key:
-        normalized.append(
+            bindings.append(
+                (
+                    module.name,
+                    port.name,
+                    (driver.module.name, driver.name) if driver is not None else None,
+                )
+            )
+    if undriven:
+        key = tuple(
             (
                 mod_name,
                 req_ts,
@@ -116,27 +129,24 @@ def screen_fingerprint(sim) -> Tuple:
                     for name, rate, delay, ts in ports
                 ),
             )
+            for mod_name, req_ts, ports in key
         )
-    return tuple(normalized)
+    return key, tuple(bindings)
 
 
-def collect_tc_screen_data(
-    sim,
-    trace_map: Dict[str, List[tuple]],
-    raw: Optional[Dict[str, List[Any]]] = None,
-) -> TcScreenData:
-    """Build a :class:`TcScreenData` from a finished baseline member.
+def collect_tc_screen_data(sim, driven: Sequence[str]) -> TcScreenData:
+    """Build a :class:`TcScreenData` from a finished baseline simulator.
 
-    ``trace_map`` and ``raw`` together must cover every driven signal
-    of the baseline cluster.  ``trace_map`` holds deferred-trace rows
-    (the value stream is each row's second element); ``raw`` holds
-    plain token-value lists read straight out of retained signal
-    buffers — signals nothing but the screener consumes skip row
-    reconstruction entirely.
+    ``driven`` names every driven signal of the baseline cluster; each
+    must have kept its whole token stream (retention floor pinned at
+    token 0 before the run).
     """
-    streams = {name: [row[1] for row in rows] for name, rows in trace_map.items()}
-    if raw:
-        streams.update(raw)
+    signals = sim.cluster._signals
+    streams = {}
+    for name in driven:
+        sig = signals[name]
+        assert sig._base_index == 0, f"signal {name!r} dropped baseline tokens"
+        streams[name] = list(sig._tokens)
     return TcScreenData(
         streams=streams,
         periods=sim.periods_run,
@@ -153,23 +163,41 @@ def driven_signal_names(cluster) -> List[str]:
 
 
 def _tokens_equal(a: Any, b: Any) -> bool:
-    """Exact token equality, with NaN equal to NaN.
+    """Whether token ``a`` stands in for token ``b`` in every reader.
 
-    Matches the divergence predicate's treatment of NaN (two NaNs are
-    not a divergence), so a screened-identical stream is exactly a
-    stream the full-trace diff would call clean at tolerance 0 — and
-    identical inputs make every downstream firing reproduce the
-    baseline bit-for-bit.
+    Equal values of the same type, with NaN equal to NaN (the
+    divergence predicate does not tell two NaNs apart either) and
+    ``-0.0`` unequal to ``0.0`` (``copysign`` or ``atan2`` downstream
+    would).  ``1 == 1.0 == True`` alone is not enough: a reader could
+    branch on the type.
     """
     if a is b:
         return True
+    if type(a) is not type(b):
+        return False
     try:
         if a == b:
-            return True
+            return type(a) is not float or a != 0.0 or copysign(1.0, a) == copysign(1.0, b)
         # Both NaN (the only values unequal to themselves).
         return a != a and b != b
     except Exception:
         return False
+
+
+def _chunk_equal(produced: List[Any], expected: List[Any]) -> bool:
+    """:func:`_tokens_equal` over two equally long token lists.
+
+    The common all-equal case runs at C speed: one list compare, one
+    compare of the token types, and a zero test; only a chunk that
+    holds a NaN or a zero is rechecked token by token.
+    """
+    if (
+        produced == expected
+        and list(map(type, produced)) == list(map(type, expected))
+        and 0.0 not in produced
+    ):
+        return True
+    return all(map(_tokens_equal, produced, expected))
 
 
 #: Verdicts of :func:`screen_mutant_tc`.
@@ -218,23 +246,16 @@ def _snapshot(module, in_ports, out_ports):
 
     Returns ``None`` when a faithful restore cannot be guaranteed:
     user state holding a mutable value (a list the processing appends
-    to would survive a shallow restore), a processing body that names
-    ``cluster`` (it could reach sibling modules the snapshot does not
-    cover), or hooks/observers on the module's ports and signals (the
-    replay would fire them; the full run would then fire them again).
+    to would survive a shallow restore), or hooks/observers on the
+    module's ports and signals (the replay would fire them; the full
+    run would then fire them again).  A body that names ``cluster`` is
+    never replayed at all (:func:`screen_mutant_tc`).
     Everything else a firing touches is enumerable — module attribute
     bindings, the pending-rates dict, port activation state, and the
     token buffers/cursors of the module's own signals — and is saved
     here so :func:`_restore` can rewind the cluster to its freshly
     initialized state.
     """
-    try:
-        processing = module.resolved_processing()
-        code = getattr(processing, "__func__", processing).__code__
-    except AttributeError:
-        return None
-    if "cluster" in code.co_names:
-        return None
     state = module.__dict__
     ports = module._ports
     for key, value in state.items():
@@ -349,8 +370,8 @@ def screen_mutant_tc(
       signal buffers and module state are consumed, rebuild the cluster
       for the full run.
 
-    Inconclusive never means *killed*: the full lockstep simulation
-    owns every verdict the screen cannot prove.
+    Inconclusive never means *killed*: the full simulation owns every
+    verdict the screen cannot prove.
     """
     if not data.eligible:
         return CLEAN
@@ -362,7 +383,15 @@ def screen_mutant_tc(
     # the replay never calls it, so any override is out of scope.
     if type(module).change_attributes is not TdfModule.change_attributes:
         return CLEAN
-    # Identical elaboration fingerprint → identical schedule → the
+    # A body that reaches sibling modules through ``cluster`` could
+    # change them behind the compared streams.
+    try:
+        processing = module.resolved_processing()
+        if "cluster" in getattr(processing, "__func__", processing).__code__.co_names:
+            return CLEAN
+    except AttributeError:
+        return CLEAN
+    # Identical fingerprint → identical schedule and bindings → the
     # baseline's firing grid and stream alignment hold for the mutant.
     if screen_fingerprint(sim) != data.fingerprint:
         return CLEAN
@@ -375,9 +404,10 @@ def screen_mutant_tc(
         return CLEAN
     streams = data.streams
 
-    # Output signals hold only their priming tokens so far (written by
-    # initialization from unmutated attributes, hence equal to the
-    # baseline's); everything produced past that point is compared.
+    # Output signals hold only their priming tokens so far.  They are
+    # compared too, from token 0: initialization writes them from the
+    # module's own attributes (``DelayTdf.m_initial``), which a mutant
+    # may have changed.
     #
     # An output is *unobservable* when it is not an oracle signal, has
     # no write observers, and every reader is exactly a NullSink —
@@ -385,7 +415,8 @@ def screen_mutant_tc(
     # no token written there can ever influence the verdict.  Such
     # outputs are skipped: a mutant that only perturbs a sink-bound
     # debug stream still screens as identical, matching the serial
-    # verdict (the oracle diff never sees that signal either).
+    # verdict (the oracle diff never sees that signal either).  The
+    # fingerprint pins the readers to the baseline's.
     oracle_set = oracle if oracle is not None else frozenset()
     outs = []
     for port in module.out_ports():
@@ -399,9 +430,9 @@ def screen_mutant_tc(
         ):
             continue
         stream = streams.get(sig.name)
-        if stream is None or sig._write_count > len(stream):
+        if stream is None or sig._write_count > len(stream) or sig._base_index:
             return CLEAN
-        outs.append([sig, stream, sig._write_count])
+        outs.append([sig, stream, 0])
 
     for port in module.in_ports():
         sig = port.signal
@@ -479,13 +510,8 @@ def screen_mutant_tc(
                 return inconclusive()
             base = sig._base_index
             produced = sig._tokens[cursor - base : wc - base]
-            if produced != stream[cursor:wc]:
-                # Slow path: NaN compares unequal to itself, so a
-                # failed slice compare may still be a clean all-NaN
-                # match — recheck token by token.
-                for offset, value in enumerate(produced):
-                    if not _tokens_equal(value, stream[cursor + offset]):
-                        return inconclusive()
+            if not _chunk_equal(produced, stream[cursor:wc]):
+                return inconclusive()
             entry[2] = wc
         if module.has_pending_attribute_requests:
             # request_rate()/request_timestep() from the mutated body:

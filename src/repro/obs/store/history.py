@@ -27,6 +27,8 @@ import os
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from .jsonl import append_line
+
 FORMAT = "repro-dft-history/1"
 FILENAME = "history.jsonl"
 
@@ -179,8 +181,7 @@ class RunHistory:
         stamped["run_id"] = hashlib.sha1(
             f"{offset}|{payload}".encode()
         ).hexdigest()[:12]
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(stamped, sort_keys=True, default=str) + "\n")
+        append_line(self.path, json.dumps(stamped, sort_keys=True, default=str))
         return stamped["run_id"]
 
     # -- reading ------------------------------------------------------------

@@ -68,10 +68,10 @@ class Signal:
         self._write_observers: List[WriteObserver] = []
         self._read_observers: List[ReadObserver] = []
         #: Garbage-collection floor: tokens at or above this global index
-        #: are kept even after every reader consumed them.  Used by the
-        #: batch engine's deferred trace capture, which reads committed
-        #: tokens back out of the buffer at window end; ``None`` (the
-        #: default) means no retention.
+        #: are kept even after every reader consumed them.  Mutant
+        #: screening pins it at 0 on a baseline run to read every driven
+        #: signal's whole token stream back out of the buffer afterwards;
+        #: ``None`` (the default) means no retention.
         self._retain_from: Optional[int] = None
         #: Timestamp of the most recent write (set by the simulator).
         self.last_write_time: Optional[ScaTime] = None

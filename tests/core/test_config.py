@@ -165,7 +165,7 @@ class TestConfigFile:
         assert cfg.engine == "interp"
         assert cfg.seed == 11
         assert cfg.warn is False
-        assert cfg.batch_size == DftConfig().batch_size  # absent -> default
+        assert cfg.matcher == DftConfig().matcher  # absent -> default
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "dft.json"
@@ -188,6 +188,14 @@ class TestConfigFile:
         path = tmp_path / "bad.toml"
         path.write_text("this is = not [ toml")
         with pytest.raises(ValueError, match="cannot parse config file"):
+            DftConfig.from_file(str(path))
+
+    def test_removed_batch_size_field_names_path(self, tmp_path):
+        # A config written for an older version fails with the usual
+        # one-line message instead of silently ignoring the field.
+        path = tmp_path / "old.toml"
+        path.write_text('engine = "block"\nbatch_size = 8\n')
+        with pytest.raises(ValueError, match=r"old.toml.*unknown config field\(s\): batch_size"):
             DftConfig.from_file(str(path))
 
     def test_unknown_field_names_path(self, tmp_path):

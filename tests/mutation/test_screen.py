@@ -1,10 +1,10 @@
 """Mutant screening: the replay proves *identical*, never *killed*.
 
-Soundness rests on two pillars pinned here: the kill matrix is
-byte-identical with batching (and therefore screening) at every batch
-size, and every inconclusive exit either restores the cluster exactly
-(CLEAN) or declares it consumed (DIRTY) — screening is a pure
-accelerator, invisible in the results.
+Soundness rests on two pillars pinned here: the kill matrix of the
+screened default path is byte-identical to the unscreened
+``run_mutant`` reference, and every inconclusive exit either restores
+the cluster exactly (CLEAN) or declares it consumed (DIRTY) — screening
+is a pure accelerator, invisible in the results.
 """
 
 import math
@@ -12,8 +12,15 @@ import math
 import pytest
 
 from repro import DftConfig
-from repro.mutation import kill_matrix_bytes, run_mutation
-from repro.mutation.executor import _oracle_names, compute_baselines_batched
+from repro.mutation import (
+    apply_mutant,
+    compute_baselines,
+    generate_mutants,
+    kill_matrix_bytes,
+    run_mutant,
+    run_mutation,
+)
+from repro.mutation.executor import MutationRun, _oracle_names
 from repro.mutation.screen import (
     CLEAN,
     DIRTY,
@@ -25,60 +32,173 @@ from repro.mutation.screen import (
     screen_fingerprint,
     screen_mutant_tc,
 )
-from repro.tdf import Simulator
+from repro.obs import Telemetry
+from repro.tdf import Cluster, Simulator, ms
+from repro.tdf.library import CollectorSink, DelayTdf, StimulusSource
 from repro.tdf.time import ScaTime
 from repro.testing.generate import build_random_cluster, random_suite
+from repro.testing.testcase import TestCase
 
 RANDOM_FACTORY = "repro.testing.generate:random_cluster_factory"
 RANDOM_SUITE = "repro.testing.generate:random_suite"
+BUCK_FACTORY = "repro.systems.buck_boost:BuckBoostTop"
+
+#: The buck_boost mutants an earlier screen wrongly proved identical.
+BUCK_REGRESSIONS = (
+    "gain:000:i_vout_delay",
+    "drop:000:i_vout_delay",
+    "drop:001:i_sense_gain",
+)
 
 
-def _mutate(batch_size=None, **cfg_kwargs):
-    cfg = DftConfig(seed=0, batch_size=batch_size, **cfg_kwargs)
+def buck_boost_regression_suite():
+    """Three buck_boost testcases that between them kill every
+    regression mutant; ``gain:000`` survives two of them."""
+    from repro.systems.campaigns import buck_boost_all_testcases
+
+    keep = ("bb_buck_0v9", "bb_boost_4v2", "bb_boost_8v0")
+    return [tc for tc in buck_boost_all_testcases() if tc.name in keep]
+
+
+def unscreened_reference(run: MutationRun, factory, testcases) -> MutationRun:
+    """``run`` re-judged by the unscreened ``run_mutant``, one full
+    simulation per ``(mutant, testcase)`` pair."""
+    oracle = run.oracle_signals
+    baselines = compute_baselines(factory, testcases, oracle, run.engine)
+    outcomes = [
+        run_mutant(spec, factory, testcases, baselines, oracle,
+                   run.engine, run.tolerance, None)
+        for spec in run.specs
+    ]
+    return MutationRun(**{**vars(run), "outcomes": outcomes})
+
+
+def _mutate_random(**cfg_kwargs):
     return run_mutation(
         RANDOM_FACTORY,
         RANDOM_SUITE,
-        cfg,
+        DftConfig(seed=0, **cfg_kwargs),
         factory_args=(7,),
         suite_args=(7,),
         max_mutants=10,
     )
 
 
-class TestBatchedKillMatrix:
-    """The acceptance invariant: batching never changes a verdict."""
+class TestScreenedKillMatrix:
+    """The acceptance invariant: screening never changes a verdict."""
 
     @pytest.fixture(scope="class")
-    def serial(self):
-        return _mutate()
+    def reference(self):
+        run = _mutate_random()
+        factory = lambda: build_random_cluster(7)
+        return kill_matrix_bytes(unscreened_reference(run, factory, random_suite(7)))
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 8])
-    def test_identical_at_every_width(self, serial, batch_size):
-        batched = _mutate(batch_size=batch_size)
-        assert kill_matrix_bytes(batched) == kill_matrix_bytes(serial)
+    def test_random_cluster_matches_unscreened(self, reference):
+        assert kill_matrix_bytes(_mutate_random()) == reference
 
-    def test_auto_width_identical(self, serial):
-        batched = _mutate(batch_size="auto")
-        assert kill_matrix_bytes(batched) == kill_matrix_bytes(serial)
+    def test_workers_match_unscreened(self, reference):
+        assert kill_matrix_bytes(_mutate_random(workers=2)) == reference
 
-    def test_batched_workers_identical(self, serial):
-        batched = _mutate(batch_size=4, workers=2)
-        assert kill_matrix_bytes(batched) == kill_matrix_bytes(serial)
+    def test_interp_engine_matches_unscreened(self):
+        run = _mutate_random(engine="interp")
+        factory = lambda: build_random_cluster(7)
+        expected = unscreened_reference(run, factory, random_suite(7))
+        assert kill_matrix_bytes(run) == kill_matrix_bytes(expected)
 
-    def test_interp_engine_rejected(self):
-        with pytest.raises(ValueError, match="block engine"):
-            _mutate(batch_size=2, engine="interp")
+    def test_buck_boost_regressions_match_unscreened(self):
+        from repro.systems.buck_boost import BuckBoostTop
 
-    def test_screen_telemetry_recorded(self, serial):
-        from repro.obs import Telemetry
+        run = run_mutation(BUCK_FACTORY, f"{__name__}:buck_boost_regression_suite",
+                           DftConfig(seed=0), operators=("gain", "drop"))
+        assert set(BUCK_REGRESSIONS) <= {spec.mutant_id for spec in run.specs}
+        expected = unscreened_reference(
+            run, BuckBoostTop, buck_boost_regression_suite()
+        )
+        assert kill_matrix_bytes(run) == kill_matrix_bytes(expected)
+        by_id = {o.spec.mutant_id: o for o in run.outcomes}
+        for mutant_id in BUCK_REGRESSIONS:
+            assert by_id[mutant_id].status == "killed", mutant_id
 
+    def test_screen_telemetry_recorded(self):
         tel = Telemetry()
-        _mutate(batch_size=8, telemetry=tel)
+        _mutate_random(telemetry=tel)
         counters = {c.name: c.value for c in tel.metrics.counters()}
-        screened = counters.get("mutation.screened_identical", 0)
         # The random cluster always has surviving mutants whose replay
-        # proves them identical — the screen must actually engage.
-        assert screened > 0
+        # proves them identical — the screen must engage by default.
+        assert counters.get("mutation.screened_identical", 0) > 0
+        screens = tel.find_spans("mutation.screen")
+        assert screens
+        mutant_ids = {s.span_id for s in tel.find_spans("mutation.mutant")}
+        assert all(s.parent_id in mutant_ids for s in screens)
+
+
+# -- soundness regressions ------------------------------------------------------
+
+
+class DelayTop(Cluster):
+    """``src -> delay -> sink``: the delay's priming token is its
+    ``m_initial``."""
+
+    def architecture(self) -> None:
+        self.src = self.add(StimulusSource("src", lambda t: 1.0, ms(1)))
+        self.delay = self.add(DelayTdf("delay", delay=1))
+        self.sink = self.add(CollectorSink("sink"))
+        self.connect(self.src.op, self.delay.ip)
+        self.connect(self.delay.op, self.sink.ip)
+
+
+def _baseline_screen(factory, testcase, oracle):
+    screen = {}
+    compute_baselines(factory, [testcase], oracle, "block", screen=screen)
+    return screen[testcase.name]
+
+
+def _mutant_sim(factory, spec, testcase):
+    cluster = factory()
+    apply_mutant(cluster, spec)
+    testcase.apply(cluster)
+    sim = Simulator(cluster, engine="block")
+    sim.initialize()
+    return sim
+
+
+class TestScreenSoundness:
+    def test_mutated_delay_initial_value_is_not_identical(self):
+        # The mutant changes only the priming token the delay's output
+        # port writes at initialize(); the screen must compare it.
+        tc = TestCase("flat", ms(8), lambda cluster: None)
+        oracle = _oracle_names(DelayTop("top"), None)
+        data = _baseline_screen(lambda: DelayTop("top"), tc, oracle)
+        specs = [s for s in generate_mutants(DelayTop("top"), ["gain"])
+                 if "m_initial" in s.detail]
+        assert len(specs) == 1
+        sim = _mutant_sim(lambda: DelayTop("top"), specs[0], tc)
+        verdict = screen_mutant_tc(sim, "delay", data, oracle=frozenset(oracle))
+        assert verdict != IDENTICAL
+
+    @pytest.mark.parametrize("mutant_id, killer", [
+        ("drop:000:i_vout_delay", "bb_buck_0v9"),
+        ("drop:001:i_sense_gain", "bb_boost_8v0"),
+    ])
+    def test_buck_boost_drop_mutants_are_not_identical(self, mutant_id, killer):
+        # A drop mutant rewires the readers of the target's output, so
+        # the binding outside the target module differs from the
+        # baseline's; the target's own tokens alone prove nothing.
+        from repro.systems.buck_boost import BuckBoostTop
+        from repro.systems.campaigns import buck_boost_all_testcases
+
+        tc = next(t for t in buck_boost_all_testcases() if t.name == killer)
+        oracle = _oracle_names(BuckBoostTop(), None)
+        spec = next(s for s in generate_mutants(BuckBoostTop(), ["drop"])
+                    if s.mutant_id == mutant_id)
+        baselines = compute_baselines(BuckBoostTop, [tc], oracle, "block")
+        unscreened = run_mutant(spec, BuckBoostTop, [tc], baselines, oracle,
+                                "block", 0.0, None)
+        assert unscreened.killed_by == (tc.name,)
+        data = _baseline_screen(BuckBoostTop, tc, oracle)
+        sim = _mutant_sim(BuckBoostTop, spec, tc)
+        verdict = screen_mutant_tc(sim, spec.target, data, oracle=frozenset(oracle))
+        assert verdict != IDENTICAL
 
 
 # -- direct screen_mutant_tc verdicts -----------------------------------------
@@ -91,7 +211,7 @@ def screen_env():
     testcases = random_suite(7)[:1]
     oracle = _oracle_names(factory(), None)
     screen = {}
-    compute_baselines_batched(factory, testcases, oracle, 4, screen=screen)
+    compute_baselines(factory, testcases, oracle, "block", screen=screen)
     return factory, testcases[0], frozenset(oracle), screen[testcases[0].name]
 
 
@@ -191,8 +311,11 @@ class TestHelpers:
             s.name for s in cluster.signals if s.driver is not None
         ]
 
-    def test_fingerprint_matches_attribute_key_when_all_driven(self):
+    def test_fingerprint_is_attribute_key_plus_bindings(self):
         cluster = build_random_cluster(7)
         sim = Simulator(cluster, engine="block")
         sim.initialize()
-        assert screen_fingerprint(sim) == sim._attribute_key()
+        key, bindings = screen_fingerprint(sim)
+        assert key == sim._attribute_key()  # every input is driven
+        assert ("dut", "ip", ("up", "op")) in bindings
+        assert len(bindings) == 5  # one per input port of the chain

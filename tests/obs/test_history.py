@@ -79,6 +79,16 @@ def test_records_skips_malformed_lines(tmp_path):
     assert len(history.records()) == 1
 
 
+def test_append_after_torn_tail_keeps_next_record(tmp_path):
+    history = RunHistory(str(tmp_path))
+    history.append(_tiny_record(system="a"))
+    with open(history.path, "a") as handle:
+        handle.write('{"format": "repro-history/1", "sys')  # torn write
+    run_id = history.append(_tiny_record(system="b"))
+    assert [r["system"] for r in history.records()] == ["a", "b"]
+    assert history.records()[-1]["run_id"] == run_id
+
+
 def test_get_by_prefix(tmp_path):
     history = RunHistory(str(tmp_path))
     run_id = history.append(_tiny_record())

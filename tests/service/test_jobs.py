@@ -84,6 +84,19 @@ class TestJobQueue:
         revived = JobQueue(str(tmp_path))
         assert revived.get(job.id).status == "queued"
 
+    def test_submit_after_torn_tail_survives_restart(self, tmp_path):
+        # A crash tore the tail; the next append must not glue its record
+        # onto the fragment, or a second restart drops the new job.
+        queue = JobQueue(str(tmp_path))
+        queue.submit(_spec())
+        with open(tmp_path / "jobs.jsonl", "a") as handle:
+            handle.write('{"event": "started", "id": "job-0')  # torn write
+        restarted = JobQueue(str(tmp_path))
+        assert restarted.submit(_spec("mutate")).id == "job-000002"
+        revived = JobQueue(str(tmp_path))
+        assert revived.get("job-000002").spec.kind == "mutate"
+        assert revived.get("job-000001").status == "queued"
+
     def test_failed_jobs_keep_error(self, tmp_path):
         queue = JobQueue(str(tmp_path))
         job = queue.submit(_spec())

@@ -102,6 +102,16 @@ class TestSubmitValidation:
         assert err.value.status == 400
         assert "tpyo" in str(err.value)
 
+    def test_batch_size_config_field_is_400(self, server):
+        _, addr = server
+        with pytest.raises(ServiceError) as err:
+            submit_job(
+                addr,
+                {"kind": "run", "system": "sensor", "config": {"batch_size": 8}},
+            )
+        assert err.value.status == 400
+        assert "unknown config field(s): batch_size" in str(err.value)
+
     def test_unknown_spec_field_is_400(self, server):
         _, addr = server
         with pytest.raises(ServiceError) as err:
