@@ -9,7 +9,7 @@ instead of the one-shot pipeline:
 * :func:`repro.analysis.analyze_cluster` — the full static stage,
   including netlist resolution and the PFirm/PWeak port classes;
 * :class:`repro.instrument.DynamicAnalyzer` — instrumented execution of
-  a single testcase with direct access to the probe event streams;
+  a single testcase with direct access to its exercised pairs;
 * :func:`repro.instrument.tap_signal` — the paper's ``parallel_print``
   observer for library components.
 

@@ -54,13 +54,7 @@ class DftConfig:
         ``"block"``; engines are bit-identical).  ``workers`` — dynamic
         stage fan-out (``None`` = automatic heuristic, ``1`` = serial).
         ``executor`` — an explicit :class:`~repro.exec.DynamicExecutor`
-        instance; when set it wins over ``workers``.  ``matcher`` — the
-        def-use event-matching implementation (``"auto"``/``"scan"``/
-        ``"vector"``; see :func:`repro.instrument.matching.match_events`).
-        ``auto`` takes the vectorized columnar kernel when numpy is
-        present and the probe buffer is a streaming columnar store, the
-        per-event scan otherwise.  All paths are result-identical, so
-        ``matcher`` never enters the config hash.
+        instance; when set it wins over ``workers``.
     caches
         ``result_cache`` — an explicit per-testcase
         :class:`~repro.exec.DynamicResultCache` for ``run_dft``;
@@ -80,10 +74,7 @@ class DftConfig:
     determinism
         ``seed`` — the master seed for every seeded decision
         (mutant sampling, stimulus search).
-    recording / history
-        ``probe_store`` — the probe recording backend (``"memory"`` or
-        ``"columnar"``; coverage results are identical either way);
-        ``store_chunk_size`` / ``store_dir`` — columnar spill tuning;
+    history
         ``history_dir`` — when set, every run appends one record to the
         run-history ledger there; ``warm_start`` — let mutation and
         generation seed from the latest matching history record.
@@ -91,7 +82,6 @@ class DftConfig:
 
     engine: str = "auto"
     workers: Optional[int] = 1
-    matcher: str = "auto"
     executor: Optional["DynamicExecutor"] = None
     result_cache: Optional["DynamicResultCache"] = None
     reuse_dynamic_results: bool = True
@@ -103,9 +93,6 @@ class DftConfig:
     budget_seconds: Optional[float] = None
     budget_simulations: Optional[int] = None
     seed: int = 0
-    probe_store: str = "memory"
-    store_chunk_size: Optional[int] = None
-    store_dir: Optional[str] = None
     history_dir: Optional[str] = None
     warm_start: bool = False
 
@@ -136,16 +123,12 @@ class DftConfig:
         field_map = {
             "engine": "engine",
             "workers": "workers",
-            "matcher": "matcher",
             "seed": "seed",
             "tolerance": "tolerance",
             "budget_seconds": "budget_seconds",
             "budget_simulations": "budget_simulations",
             "cache_dir": "cache_dir",
             "warn": "warn",
-            "probe_store": "probe_store",
-            "store_chunk_size": "store_chunk_size",
-            "store_dir": "store_dir",
             "warm_start": "warm_start",
         }
         values: dict = {}
@@ -353,19 +336,6 @@ class DftConfig:
             )
         )
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
-    def probe_store_spec(self):
-        """The :class:`~repro.obs.store.ProbeStoreSpec` this config
-        implies, or ``None`` for the in-memory default."""
-        if self.probe_store == "memory":
-            return None
-        from ..obs.store import ProbeStoreSpec
-
-        return ProbeStoreSpec(
-            kind=self.probe_store,
-            chunk_size=self.store_chunk_size,
-            spill_dir=self.store_dir,
-        )
 
     def run_history(self):
         """The :class:`~repro.obs.store.RunHistory` ledger this config

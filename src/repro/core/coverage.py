@@ -16,6 +16,7 @@ from .associations import AssocClass, Association, Definition
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid a cycle
     from ..analysis.cluster_analysis import StaticAnalysisResult
     from ..instrument.runner import DynamicResult
+    from ..obs import Telemetry
 
 
 @dataclass(frozen=True)
@@ -45,13 +46,31 @@ class ClassCoverage:
 
 
 class CoverageResult:
-    """The combined static + dynamic coverage outcome."""
+    """The combined static + dynamic coverage outcome.
 
-    def __init__(self, static: "StaticAnalysisResult", dynamic: "DynamicResult") -> None:
+    Every exercised pair should be a static association.  The ones that
+    are not are counted on the ``coverage.dynamic_not_static`` counter
+    of ``telemetry`` (default: the active session) when it records.
+    """
+
+    def __init__(
+        self,
+        static: "StaticAnalysisResult",
+        dynamic: "DynamicResult",
+        telemetry: Optional["Telemetry"] = None,
+    ) -> None:
         self.static = static
         self.dynamic = dynamic
         self._exercised_keys = dynamic.exercised_keys()
         self._static_keys = {a.key for a in static.associations}
+        if telemetry is None:
+            from ..obs import get_telemetry
+
+            telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.metrics.counter("coverage.dynamic_not_static").inc(
+                len(self._exercised_keys - self._static_keys)
+            )
 
     # -- raw queries ---------------------------------------------------------
 

@@ -101,8 +101,8 @@ class DuPathGuide:
     Precomputed once per target from the stored model CFG; evaluation
     then reduces to dictionary lookups over the candidate's observed
     pair set — keeping the graded fitness a pure function of the pair
-    set, so it stays byte-identical across engines, matchers and worker
-    counts just like the binary levels.
+    set, so it stays byte-identical across engines and worker counts
+    just like the binary levels.
 
     ``approach_by_use``
         use line -> progress in (0, 1] for pairs whose def side *is*

@@ -1,37 +1,30 @@
 """AST instrumentation of ``processing()`` bodies (paper §V).
 
 The instrumenter rewrites a model's processing source so that every
-definition and use reports itself to the :class:`ProbeRuntime` at
-execution time, without changing behaviour:
+definition and use is matched by the :class:`ProbeRuntime` at execution
+time, without changing behaviour:
 
-* loads of tracked locals/members are wrapped:
-  ``x``  ->  ``__dft_probe__.u(self, 'x', <line>, x)``;
+* a definition appends ``__dft_ld__['x'] = <line>`` after every
+  assignment (and as the first body statement for loop targets) — a
+  store into the model's last-def table;
+* a load of a tracked local/member is wrapped as
+  ``(x, __dft_sN__(__dft_g__('x')))[0]`` — the value first, then the
+  current last def of ``x`` joins use site ``N``'s set;
 * port accesses are routed through the probe:
   ``self.ip.read(i)``     -> ``__dft_probe__.pr(self, self.ip, <line>, i)``
-  ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``;
-* a ``__dft_probe__.d(self, 'x', <line>)`` statement is appended after
-  every assignment (and as the first body statement for loop targets).
+  ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``.
 
-All ``<line>`` arguments are *absolute* file lines, so dynamic events
-join directly against the static anchors.  The rewritten function is
-compiled in a copy of the original function's globals (plus the probe)
-and installed on the module instance via ``register_processing`` —
-the class and all other instances stay untouched.
+Def and use sites are C-level dict/set calls with no Python frame.  All
+``<line>`` values are *absolute* file lines, so the pairs join directly
+against the static anchors.  The rewritten function is compiled in a
+copy of the original function's globals plus the probe's bindings
+(:meth:`ProbeRuntime.bind_sites`) and installed on the module instance
+via ``register_processing`` — the class and all other instances stay
+untouched.
 
-Two emission variants exist, selected by the probe's recording mode:
-
-* **per-event** (default): every def/use calls ``__dft_probe__.u``/
-  ``.d`` as sketched above;
-* **batched** (block engine): every def/use site ``N`` becomes a bare
-  ``__dft_a__(__dft_tN__)`` — one C-level ``list.append`` of a tuple
-  *preallocated at instrumentation time* (``(tag, var, model, line)``
-  is fully static per site).  No Python frame and no tuple
-  construction on the hot path; the event content and order are
-  identical to the per-event variant by construction.
-
-Compilation is memoized per ``(function, ports, variant)`` in
-:data:`_CODE_CACHE` — repeated instrumentation (one fresh cluster per
-testcase) only pays the ``exec`` of the cached code object.
+Compilation is memoized per ``(function, ports)`` in :data:`_CODE_CACHE`
+— repeated instrumentation (one fresh cluster per testcase) only pays
+the ``exec`` of the cached code object.
 """
 
 from __future__ import annotations
@@ -50,18 +43,14 @@ from ..analysis.astutils import (
     self_attribute,
 )
 from ..tdf.module import TdfModule
-from .probes import TAG_DEF, TAG_USE
+from .probes import LAST_DEF_NAME, LOOKUP_NAME, USE_SITE_PREFIX
 
 PROBE_NAME = "__dft_probe__"
-#: Batched mode: the probe buffer's ``append`` bound method.
-APPEND_NAME = "__dft_a__"
-#: Batched mode: per-site preallocated event tuples ``__dft_t<N>__``.
-SITE_PREFIX = "__dft_t"
 
-#: ``(underlying function, in ports, out ports, batched)`` ->
-#: ``(code object, function name, site templates)``.  Site templates
-#: are ``(tag, var, line)`` triples in emission order; the model name
-#: is added per instance at exec time.
+#: ``(underlying function, in ports, out ports)`` ->
+#: ``(code object, function name, use sites)``.  Use sites are
+#: ``(var, line)`` pairs in emission order; the probe binds them per
+#: model instance at exec time.
 _CODE_CACHE: Dict[tuple, Tuple[Any, str, tuple]] = {}
 
 
@@ -86,16 +75,14 @@ class _Rewriter(ast.NodeTransformer):
         out_ports: Set[str],
         local_names: Set[str],
         line_offset: int,
-        batched: bool = False,
     ) -> None:
         self.in_ports = in_ports
         self.out_ports = out_ports
         self.local_names = local_names
         self.line_offset = line_offset
-        self.batched = batched
-        #: Batched mode: ``(tag, var, line)`` per emitted u/d site, in
-        #: emission order (site N reads global ``__dft_t<N>__``).
-        self.sites: List[tuple] = []
+        #: ``(var, line)`` per emitted use site, in emission order (site
+        #: N calls global ``__dft_s<N>__``).
+        self.use_sites: List[tuple] = []
 
     def _abs(self, node: ast.AST) -> int:
         return getattr(node, "lineno", 1) + self.line_offset
@@ -103,43 +90,30 @@ class _Rewriter(ast.NodeTransformer):
     def _line_const(self, node: ast.AST) -> ast.Constant:
         return ast.Constant(value=self._abs(node))
 
-    def _site_append(self, tag: int, var: str, line: int) -> ast.Call:
-        """``__dft_a__(__dft_tN__)`` for a new batched event site."""
-        idx = len(self.sites)
-        self.sites.append((tag, var, line))
-        return ast.Call(
-            func=_load(APPEND_NAME),
-            args=[_load(f"{SITE_PREFIX}{idx}__")],
-            keywords=[],
-        )
-
     def _u_event(self, var: str, line: int, value_node: ast.expr) -> ast.expr:
-        """A use event wrapping ``value_node`` (returns its value)."""
-        if self.batched:
-            # (value, append(site))[0]: value first, then the event —
-            # the same order as evaluating u()'s arguments then its body.
-            return ast.Subscript(
-                value=ast.Tuple(
-                    elts=[value_node, self._site_append(TAG_USE, var, line)],
-                    ctx=ast.Load(),
-                ),
-                slice=ast.Constant(value=0),
-                ctx=ast.Load(),
-            )
-        return _probe_call(
-            "u",
-            [_load("self"), ast.Constant(var), ast.Constant(line), value_node],
+        """``(value, __dft_sN__(__dft_g__(var)))[0]``: a new use site
+        wrapping ``value_node`` — the value is loaded first, then the
+        current last def of ``var`` joins the site's set."""
+        idx = len(self.use_sites)
+        self.use_sites.append((var, line))
+        lookup = ast.Call(
+            func=_load(LOOKUP_NAME), args=[ast.Constant(var)], keywords=[]
+        )
+        record = ast.Call(
+            func=_load(f"{USE_SITE_PREFIX}{idx}__"), args=[lookup], keywords=[]
+        )
+        return ast.Subscript(
+            value=ast.Tuple(elts=[value_node, record], ctx=ast.Load()),
+            slice=ast.Constant(value=0),
+            ctx=ast.Load(),
         )
 
-    def _d_stmt(self, var: str, line: int) -> ast.Expr:
-        """A definition event statement."""
-        if self.batched:
-            return ast.Expr(value=self._site_append(TAG_DEF, var, line))
-        return ast.Expr(
-            value=_probe_call(
-                "d", [_load("self"), ast.Constant(var), ast.Constant(line)]
-            )
+    def _d_stmt(self, var: str, line: int) -> ast.Assign:
+        """``__dft_ld__[var] = line``: ``var``'s new last definition."""
+        target = ast.Subscript(
+            value=_load(LAST_DEF_NAME), slice=ast.Constant(var), ctx=ast.Store()
         )
+        return ast.Assign(targets=[target], value=ast.Constant(line))
 
     # -- expression wrapping ---------------------------------------------------
 
@@ -373,40 +347,34 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
 
     The expensive part — source recovery, AST rewrite, ``compile()`` —
     is memoized on the *underlying function* (shared by every instance
-    of a class and every testcase), keyed with the port-name sets and
-    the probe's recording mode that shape the rewrite.  Per call only a
-    fresh ``exec`` binds the probe (and, in batched mode, the per-site
-    event tuples carrying this instance's model name).
+    of a class and every testcase), keyed with the port-name sets that
+    shape the rewrite.  Per call only a fresh ``exec`` binds the probe
+    and its per-instance def/use tables.
     """
     original_registration = module._processing_fn
     fn = module.resolved_processing()
     underlying = fn.__func__ if isinstance(fn, types.MethodType) else fn
-    batched = getattr(probe, "batched", False)
     in_ports = frozenset(p.name for p in module.in_ports())
     out_ports = frozenset(p.name for p in module.out_ports())
-    cache_key = (underlying, in_ports, out_ports, batched)
+    cache_key = (underlying, in_ports, out_ports)
     cached = _CODE_CACHE.get(cache_key)
     if cached is None:
         info = get_source_info(fn)
         local_names = assigned_local_names(info.func)
         rewriter = _Rewriter(
-            set(in_ports), set(out_ports), local_names, info.line_offset, batched
+            set(in_ports), set(out_ports), local_names, info.line_offset
         )
         func = info.func
         # Rewrite the body directly: visit_FunctionDef keeps *nested*
         # functions opaque, so the top-level def must not go through it.
         func.body = _flatten([rewriter.visit(stmt) for stmt in func.body])
         code = compile_processing_ast(func, info)
-        cached = (code, func.name, tuple(rewriter.sites))
+        cached = (code, func.name, tuple(rewriter.use_sites))
         _CODE_CACHE[cache_key] = cached
 
-    code, func_name, sites = cached
-    extra: Dict[str, Any] = {PROBE_NAME: probe}
-    if batched:
-        extra[APPEND_NAME] = probe._buf.append
-        model = module.name
-        for idx, (tag, var, line) in enumerate(sites):
-            extra[f"{SITE_PREFIX}{idx}__"] = (tag, var, model, line)
+    code, func_name, use_sites = cached
+    extra = probe.bind_sites(module.name, use_sites)
+    extra[PROBE_NAME] = probe
     install_processing_ast(module, code, func_name, extra)
     return original_registration
 

@@ -1,32 +1,46 @@
-"""Runtime probes: the instrumented-code logging API.
+"""Runtime probes: online def-use matching as the instrumented code runs.
 
 The paper's dynamic analysis inserts a print instruction before every
-definition/use so that executing the testsuite produces logs of the
-exercised data flow (§V).  Here the "print instructions" are calls into
-a :class:`ProbeRuntime` whose short methods (``u``, ``d``, ``pr``,
-``pw``) the instrumenter splices into the model's ``processing()`` AST:
+definition/use, and "each definition is mapped onto a corresponding use
+as soon as it is encountered" (§V).  :class:`ProbeRuntime` does exactly
+that: nothing is logged, every probe resolves its pair on the spot.
 
-* ``u`` / ``d`` — a local/member use/def was executed at a source line;
-* ``pr`` / ``pw`` — a port read/write, which additionally records the
-  global token index on the port's signal so cross-model flows can be
-  joined exactly (see :mod:`repro.instrument.matching`).
+* **local/member variables** — the instrumenter turns a definition into
+  a store into this model's last-def table and a use into "add the
+  current last def to this use site's set" (both C-level calls, see
+  :meth:`ProbeRuntime.bind_sites`);
+* **port writes** (``pw``, testbench/redefining write hooks, the block
+  engine's event ops) store their definition site into the signal's
+  write index under the written token index;
+* **port reads** (``pr``) look up the write index at the read token
+  (sample-and-hold floor) and add the site to the read anchor's set.
 
-The runtime also receives *generic* events from uninstrumented modules
-(testbench sources, redefining library elements) via port hooks
-installed by the runner.
+:func:`repro.instrument.matching.match_events` turns the collected sets
+into the testcase's :class:`~repro.instrument.matching.MatchResult`;
+the exact pairing rules are documented there.
 """
 
 from __future__ import annotations
 
 import enum
-import io
 import warnings
-from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Mapping, Set, Tuple
 
 from ..tdf.errors import PortAccessError
-from ..tdf.ports import TdfIn, TdfOut
+from ..tdf.ports import TdfIn
+
+PairKey = Tuple[str, str, int, str, int]
+
+#: Instrumenter globals bound by :meth:`ProbeRuntime.bind_sites`: the
+#: model's last-def table, its ``get`` and the per-use-site set adders
+#: ``__dft_s<N>__``.
+LAST_DEF_NAME = "__dft_ld__"
+LOOKUP_NAME = "__dft_g__"
+USE_SITE_PREFIX = "__dft_s"
+
+#: Token not in a signal's write index yet (``None`` is a memoised
+#: "no write at or below this token").
+_MISS = object()
 
 
 class UseWithoutDefWarning(UserWarning):
@@ -46,184 +60,122 @@ class WriterKind(enum.Enum):
     TESTBENCH = "testbench"  #: testbench stimulus (pairs to placeholder defs)
 
 
-@dataclass(slots=True)
-class VarEvent:
-    """A local/member def or use executed by instrumented code."""
+def _floor(sites: Dict[int, Any], index: int) -> Any:
+    """Site of the greatest written token ``<= index`` (``None``: none).
 
-    is_def: bool
-    var: str
-    model: str
-    line: int
-    seq: int
-
-
-@dataclass(slots=True)
-class PortWriteEvent:
-    """A token written to a signal (a port-level definition)."""
-
-    signal: str
-    token_index: int
-    var: str
-    model: str
-    line: int
-    kind: WriterKind
-    seq: int
-
-
-@dataclass(slots=True)
-class PortReadEvent:
-    """A token consumed from a signal (a port-level use)."""
-
-    signal: str
-    token_index: int
-    port: str              #: reader port name (for placeholder pairing)
-    reader_model: str      #: reader module name
-    anchor_model: str      #: use anchor: model name or cluster name
-    anchor_line: int
-    undriven: bool         #: True when the signal has no driver at all
-    seq: int
-
-
-#: Tags of the batched-mode flat event buffer (first tuple element).
-#: Kept small ints so tag dispatch in the matcher is two comparisons.
-TAG_USE = 0
-TAG_DEF = 1
-TAG_PW = 2
-TAG_PR = 3
-
-_tag_of = itemgetter(0)
+    Memoised under ``index``: token ``index`` is being read, so no write
+    at or below it can follow and the answer is final.  A later floor
+    query above ``index`` therefore stops here instead of rescanning.
+    """
+    get = sites.get
+    j = index - 1
+    while j >= 0:
+        site = get(j, _MISS)
+        if site is not _MISS:
+            break
+        j -= 1
+    else:
+        site = None
+    sites[index] = site
+    return site
 
 
 class ProbeRuntime:
-    """Collects all dynamic events of one testcase execution.
+    """The online matcher of one testcase execution.
 
-    Two recording modes:
+    State, all filled while the simulation runs:
 
-    * **per-event** (default): every probe call appends a dataclass
-      event to ``var_events`` / ``port_writes`` / ``port_reads``, with a
-      shared sequence counter.  This is the mode the interpreter engine
-      uses and the reference for equivalence.
-    * **batched** (``batched=True``, used by the compiled block engine):
-      every probe call appends one plain tuple to a single flat buffer;
-      the sequence number *is* the buffer position + 1, so the global
-      event order is identical by construction.  The dataclass views are
-      materialised lazily on first access (event matching consumes the
-      raw buffer directly and never pays for materialisation).
+    * ``last_defs`` — model -> {variable: line of its latest definition};
+    * ``var_uses`` — ``(model, var, use line)`` -> def lines seen there
+      (``None`` when a use ran before any definition);
+    * ``writes`` — signal -> {token index: write site}; a site is
+      ``(var, model, line)`` or :attr:`WriterKind.TESTBENCH`, and a
+      later write of the same token replaces the earlier one;
+    * ``port_uses`` — ``(anchor model, anchor line, port, reader)`` ->
+      write sites read there;
+    * ``undriven`` — ``(reader.port, signal)`` per use-without-def
+      port, in first-read order.
     """
 
-    def __init__(
-        self,
-        cluster_name: str,
-        batched: bool = False,
-        store: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, cluster_name: str) -> None:
         self.cluster_name = cluster_name
-        self.batched = batched or store is not None
-        self._seq = 0
-        if self.batched:
-            # ``store`` (e.g. repro.obs.store.ColumnarProbeStore) stands
-            # in for the flat list buffer: the closures below only call
-            # ``.append`` on it, the matcher only iterates it.
-            self._buf: Optional[Any] = [] if store is None else store
-            self._mat_len = -1
-            self._mat: Tuple[list, list, list] = ([], [], [])
-            self._install_batched()
-        else:
-            self._buf = None
-            self.var_events: List[VarEvent] = []
-            self.port_writes: List[PortWriteEvent] = []
-            self.port_reads: List[PortReadEvent] = []
-
-    def _next(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def clear(self) -> None:
-        """Drop all recorded events (between testcases)."""
-        if self._buf is not None:
-            self._buf.clear()  # in place: installed closures hold a reference
-            self._mat_len = -1
-        else:
-            self.var_events.clear()
-            self.port_writes.clear()
-            self.port_reads.clear()
-            self._seq = 0
-
-    # -- batched mode ---------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        # Only reached in batched mode (per-event instances assign the
-        # lists in __init__): materialise the dataclass views on demand.
-        if name in ("var_events", "port_writes", "port_reads"):
-            mat = self._materialize()
-            return mat[("var_events", "port_writes", "port_reads").index(name)]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _materialize(self) -> Tuple[list, list, list]:
-        buf = self._buf
-        assert buf is not None
-        if self._mat_len == len(buf):
-            return self._mat
-        var_events: List[VarEvent] = []
-        port_writes: List[PortWriteEvent] = []
-        port_reads: List[PortReadEvent] = []
-        for pos, ev in enumerate(buf):
-            tag = ev[0]
-            if tag <= TAG_DEF:
-                var_events.append(VarEvent(tag == TAG_DEF, ev[1], ev[2], ev[3], pos + 1))
-            elif tag == TAG_PW:
-                port_writes.append(
-                    PortWriteEvent(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6], pos + 1)
-                )
-            else:
-                port_reads.append(
-                    PortReadEvent(
-                        ev[1], ev[2], ev[3], ev[4], ev[5], ev[6], ev[7], pos + 1
-                    )
-                )
-        self._mat = (var_events, port_writes, port_reads)
-        self._mat_len = len(buf)
-        return self._mat
+        self.last_defs: Dict[str, Dict[str, int]] = {}
+        self.var_uses: Dict[Tuple[str, str, int], Set[Any]] = {}
+        self.writes: Dict[str, Dict[int, Any]] = {}
+        self.port_uses: Dict[Tuple[str, int, str, str], Set[Any]] = {}
+        self.undriven: List[Tuple[str, str]] = []
+        #: ``[port writes, port reads]`` executed so far.
+        self.counts = [0, 0]
+        self._install()
 
     def event_counts(self) -> Tuple[int, int, int]:
-        """(var, write, read) event counts without materialising."""
-        if self._buf is None:
-            return len(self.var_events), len(self.port_writes), len(self.port_reads)
-        counts = getattr(self._buf, "event_counts", None)
-        if counts is not None:  # columnar store tracks tags at flush time
-            return counts()
-        # One C-level pass (map + list.count) instead of a Python loop.
-        tags = list(map(_tag_of, self._buf))
-        nw = tags.count(TAG_PW)
-        nr = tags.count(TAG_PR)
-        return len(tags) - nw - nr, nw, nr
+        """``(var, port write, port read)`` probe events executed.
 
-    def _install_batched(self) -> None:
-        """Shadow the probe methods with flat-buffer closures.
-
-        The instrumented code calls ``__dft_probe__.u(self, ...)`` — an
-        instance-dict lookup resolving to these plain functions, which
-        skips both the bound-method creation and the dataclass
-        construction of the per-event path.  ``pr``/``pw`` inline the
-        port fast paths but keep every user-visible validation and hook
-        of :meth:`TdfIn.read` / :meth:`TdfOut.write`.
+        Port counts are exact.  Variable events are matched in place
+        and never stored, so their slot is always 0.
         """
-        buf = self._buf
-        assert buf is not None
-        append = buf.append
-        cluster_name = self.cluster_name
-        # id(port) -> (anchor_model, anchor_line) for opaque uses, or
-        # None when the anchor is the instrumented source line.
-        anchor_cache: dict = {}
+        return 0, self.counts[0], self.counts[1]
 
-        def u(module, var, line, value):
-            append((TAG_USE, var, module.name, line))
-            return value
+    # -- binding (instrumenter, write hooks, engine event ops) ---------------
 
-        def d(module, var, line):
-            append((TAG_DEF, var, module.name, line))
+    def bind_sites(self, model: str, use_sites: Tuple[Tuple[str, int], ...]) -> Dict[str, Any]:
+        """Instrumenter globals for one model instance.
+
+        ``use_sites`` lists ``(var, line)`` per emitted use site; site
+        ``N`` calls ``__dft_s<N>__``.  A definition compiles to
+        ``__dft_ld__[var] = line``, a use to
+        ``__dft_s<N>__(__dft_g__(var))``: the current last def joins the
+        use site's set without a Python frame.
+        """
+        last_def = self.last_defs.setdefault(model, {})
+        bindings: Dict[str, Any] = {LAST_DEF_NAME: last_def, LOOKUP_NAME: last_def.get}
+        var_uses = self.var_uses
+        for idx, (var, line) in enumerate(use_sites):
+            uses = var_uses.setdefault((model, var, line), set())
+            bindings[f"{USE_SITE_PREFIX}{idx}__"] = uses.add
+        return bindings
+
+    def write_index(self, signal: str) -> Dict[int, Any]:
+        """The token -> write-site index of ``signal`` (shared, live)."""
+        return self.writes.setdefault(signal, {})
+
+    def release(self) -> None:
+        """Empty the write index in place.
+
+        It holds one entry per port token, and the instrumented cluster
+        keeps references to it (write hooks, compiled event ops) until
+        the cyclic garbage collector frees that cluster; emptying it
+        once the results are read bounds memory to one testcase.
+        """
+        for sites in self.writes.values():
+            sites.clear()
+
+    @staticmethod
+    def write_site(var: str, model: str, line: int, kind: WriterKind) -> Any:
+        """The value a write of this definition stores in the index."""
+        if kind is WriterKind.TESTBENCH:
+            return WriterKind.TESTBENCH
+        return (var, model, line)
+
+    # -- instrumented-code API (names kept short on purpose) -----------------
+
+    def _install(self) -> None:
+        """Bind ``pr``/``pw`` as closures over the matcher state.
+
+        The instrumented code calls ``__dft_probe__.pr(self, ...)`` — an
+        instance-dict lookup resolving to these plain functions, which
+        skips bound-method creation.  They inline the port fast paths
+        but keep every user-visible validation and hook of
+        :meth:`TdfIn.read` / :meth:`TdfOut.write`.
+        """
+        counts = self.counts
+        write_index = self.write_index
+        # id(port) -> (write index, {line: read set / write site}).
+        read_state: Dict[int, tuple] = {}
+        write_state: Dict[int, tuple] = {}
+        read_get = read_state.get
+        write_get = write_state.get
+        undriven_ports: Set[int] = set()
 
         def pr(module, port, line, offset=0):
             sig = port.signal
@@ -257,24 +209,26 @@ class ProbeRuntime:
             if hooks:
                 for hook in hooks:
                     hook(port, index, value, offset)
-            key = id(port)
-            anchor = anchor_cache.get(key, 0)
-            if anchor == 0:
-                if module.OPAQUE_USES and port.bind_site is not None:
-                    anchor = (cluster_name, port.bind_site.lineno)
-                else:
-                    anchor = None
-                anchor_cache[key] = anchor
-            if anchor is None:
-                append(
-                    (TAG_PR, sig.name, index, port.name, module.name,
-                     module.name, line, driver is None)
-                )
-            else:
-                append(
-                    (TAG_PR, sig.name, index, port.name, module.name,
-                     anchor[0], anchor[1], driver is None)
-                )
+            counts[1] += 1
+            if driver is None:
+                if id(port) not in undriven_ports:
+                    self._note_undriven(module, port)
+                    undriven_ports.add(id(port))
+                return value
+            if index < 0:
+                return value  # reader-side delay: initial value, no definition
+            state = read_get(id(port))
+            if state is None:
+                state = read_state[id(port)] = (write_index(sig.name), {})
+            sites, by_line = state
+            site = sites.get(index, _MISS)
+            if site is _MISS:
+                site = _floor(sites, index)
+            if site is not None:
+                uses = by_line.get(line)
+                if uses is None:
+                    uses = by_line[line] = self._read_set(module, port, line)
+                uses.add(site)
             return value
 
         def pw(module, port, line, value, offset=0):
@@ -296,120 +250,71 @@ class ProbeRuntime:
             if hooks:
                 for hook in hooks:
                     hook(port, index, value, offset)
-            append((TAG_PW, sig.name, index, port.name, module.name, line,
-                    WriterKind.MODEL))
+            counts[0] += 1
+            state = write_get(id(port))
+            if state is None:
+                state = write_state[id(port)] = (write_index(sig.name), {})
+            sites, by_line = state
+            site = by_line.get(line)
+            if site is None:
+                site = by_line[line] = (port.name, module.name, line)
+            sites[index] = site
             return index
 
-        def generic_write(port, token_index, var, model, line, kind):
-            append((TAG_PW, port.signal.name, token_index, var, model, line, kind))
-
-        self.u = u
-        self.d = d
         self.pr = pr
         self.pw = pw
-        self.generic_write = generic_write
 
-    # -- instrumented-code API (names kept short on purpose) -----------------
-
-    def u(self, module: Any, var: str, line: int, value: Any) -> Any:
-        """Record a local/member use; returns ``value`` unchanged."""
-        self._seq += 1
-        self.var_events.append(VarEvent(False, var, module.name, line, self._seq))
-        return value
-
-    def d(self, module: Any, var: str, line: int) -> None:
-        """Record a local/member definition."""
-        self._seq += 1
-        self.var_events.append(VarEvent(True, var, module.name, line, self._seq))
-
-    def pr(self, module: Any, port: TdfIn, line: int, offset: int = 0) -> Any:
-        """Perform an instrumented port read and record the use."""
-        index = port.global_index(offset)
-        value = port.read(offset)
-        assert port.signal is not None
+    def _read_set(self, module: Any, port: TdfIn, line: int) -> Set[Any]:
         if module.OPAQUE_USES and port.bind_site is not None:
-            anchor_model = self.cluster_name
-            anchor_line = port.bind_site.lineno
+            key = (self.cluster_name, port.bind_site.lineno, port.name, module.name)
         else:
-            anchor_model = module.name
-            anchor_line = line
-        self.port_reads.append(
-            PortReadEvent(
-                signal=port.signal.name,
-                token_index=index,
-                port=port.name,
-                reader_model=module.name,
-                anchor_model=anchor_model,
-                anchor_line=anchor_line,
-                undriven=port.signal.driver is None,
-                seq=self._next(),
-            )
-        )
-        return value
+            key = (module.name, line, port.name, module.name)
+        return self.port_uses.setdefault(key, set())
 
-    def pw(self, module: Any, port: TdfOut, line: int, value: Any, offset: int = 0) -> int:
-        """Perform an instrumented port write and record the definition."""
-        index = port.write(value, offset)
-        assert port.signal is not None
-        self.port_writes.append(
-            PortWriteEvent(
-                signal=port.signal.name,
-                token_index=index,
-                var=port.name,
-                model=module.name,
-                line=line,
-                kind=WriterKind.MODEL,
-                seq=self._next(),
-            )
-        )
-        return index
+    def _note_undriven(self, module: Any, port: TdfIn) -> None:
+        desc = f"{module.name}.{port.name}"
+        if all(desc != seen for seen, _sig in self.undriven):
+            self.undriven.append((desc, port.signal.name))
 
-    # -- generic (hook-based) events ---------------------------------------------
+    # -- results ---------------------------------------------------------------
 
-    def generic_write(
-        self,
-        port: TdfOut,
-        token_index: int,
-        var: str,
-        model: str,
-        line: int,
-        kind: WriterKind,
-    ) -> None:
-        """Record a write from an uninstrumented module (via port hook)."""
-        assert port.signal is not None
-        self.port_writes.append(
-            PortWriteEvent(
-                signal=port.signal.name,
-                token_index=token_index,
-                var=var,
-                model=model,
-                line=line,
-                kind=kind,
-                seq=self._next(),
-            )
-        )
+    def pairs(self, model_start_lines: Mapping[str, int]) -> Set[PairKey]:
+        """Every def-use pair exercised so far.
 
-    # -- log dump (the paper's textual instrumentation log) -------------------------
-
-    def write_log(self, stream: TextIO) -> None:
-        """Dump all events as a text log (one line per event).
-
-        This mirrors the paper's print-based instrumentation output; the
-        in-memory events above are authoritative, the log is for humans
-        and tests.
+        ``model_start_lines`` anchors the placeholder definition a
+        testbench-written token pairs with (the reader's ``processing``
+        line); readers without one pair with nothing.
         """
-        rows: List[tuple] = []
-        for ev in self.var_events:
-            rows.append((ev.seq, "DEF" if ev.is_def else "USE", ev.var, ev.model, ev.line, ""))
-        for w in self.port_writes:
-            rows.append((w.seq, "PW", w.var, w.model, w.line, f"{w.signal}[{w.token_index}] {w.kind.value}"))
-        for r in self.port_reads:
-            rows.append((r.seq, "PR", r.port, r.anchor_model, r.anchor_line, f"{r.signal}[{r.token_index}]"))
-        for seq, tag, var, model, line, extra in sorted(rows):
-            stream.write(f"{seq}\t{tag}\t{var}\t{model}:{line}\t{extra}\n")
+        pairs: Set[PairKey] = set()
+        add = pairs.add
+        for (model, var, use_line), def_lines in self.var_uses.items():
+            for def_line in def_lines:
+                if def_line is not None:
+                    add((var, model, def_line, model, use_line))
+        testbench = WriterKind.TESTBENCH
+        for (anchor_model, anchor_line, port, reader), sites in self.port_uses.items():
+            anchor = (anchor_model, anchor_line)
+            for site in sites:
+                if site is testbench:
+                    start = model_start_lines.get(reader)
+                    if start is not None:
+                        add((port, reader, start) + anchor)
+                else:
+                    add(site + anchor)
+        return pairs
 
-    def log_text(self) -> str:
-        """The event log as a string."""
-        buf = io.StringIO()
-        self.write_log(buf)
-        return buf.getvalue()
+    def use_without_def(self, warn: bool = False) -> List[str]:
+        """Use-without-def port descriptions in first-read order.
+
+        With ``warn``, each also raises a :class:`UseWithoutDefWarning`.
+        """
+        if warn:
+            for desc, signal in self.undriven:
+                warnings.warn(
+                    f"use of port {desc} without any definition "
+                    f"(signal {signal!r} has no driver): undefined "
+                    f"behaviour per the SystemC-AMS standard",
+                    UseWithoutDefWarning,
+                    stacklevel=3,
+                )
+        return [desc for desc, _signal in self.undriven]

@@ -4,8 +4,9 @@ For every testcase the runner builds a fresh cluster (testcases must
 not contaminate each other's member state), instruments every analysed
 model's ``processing()``, installs port hooks on the uninstrumented
 modules (testbench sources, redefining library elements), applies the
-testcase's stimuli, simulates, and joins the recorded events into the
-set of exercised def-use pairs.
+testcase's stimuli and simulates; the probe matches def-use pairs
+online while the simulation runs, and :func:`match_events` reads the
+testcase's exercised pairs out of it.
 """
 
 from __future__ import annotations
@@ -78,25 +79,14 @@ class DynamicAnalyzer:
         warn: bool = False,
         telemetry=None,
         engine: Optional[str] = "auto",
-        probe_store=None,
-        matcher: str = "auto",
     ) -> None:
         self.cluster_factory = cluster_factory
         self.static = static
         self.warn = warn
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        #: Event-matching implementation knob (``DftConfig.matcher``):
-        #: ``auto``/``scan``/``vector`` — all result-identical.
-        self.matcher = matcher
-        #: Resolved TDF engine for the simulations ("interp" or "block").
-        #: Block runs also switch the probe to batched recording — probe
-        #: *semantics* (event content and order) are identical; only the
-        #: storage format changes.
+        #: Resolved TDF engine for the simulations ("interp" or "block");
+        #: both drive the same probe and match the same pairs.
         self.engine = resolve_engine(engine)
-        #: Optional :class:`~repro.obs.store.ProbeStoreSpec` selecting
-        #: the recording backend; each testcase gets a fresh store so
-        #: spill files never outlive their match.
-        self.probe_store = probe_store
 
     # -- single testcase ------------------------------------------------------
 
@@ -104,65 +94,49 @@ class DynamicAnalyzer:
         """Run one testcase and return its exercised pairs.
 
         Each testcase gets a ``dynamic.testcase[<name>]`` telemetry span
-        with ``dynamic.simulate`` / ``dynamic.match`` children; probe
-        event counts and the number of exercised pairs are attached as
-        span attributes and ``instrument.*`` counters.
+        with ``dynamic.build`` (cluster factory), ``dynamic.instrument``
+        (instrumentation, write hooks, stimuli), ``dynamic.simulate``
+        and ``dynamic.match`` children; port event counts and the
+        number of exercised pairs are attached as span attributes and
+        ``instrument.*`` counters.
         """
         tel = self.telemetry
         with tel.span(
             f"dynamic.testcase[{testcase.name}]", testcase=testcase.name
         ) as tc_span:
-            cluster = self.cluster_factory()
-            store = (
-                self.probe_store.make(tel) if self.probe_store is not None else None
-            )
+            with tel.span("dynamic.build", testcase=testcase.name):
+                cluster = self.cluster_factory()
+            probe = ProbeRuntime(cluster.name)
             try:
-                probe = ProbeRuntime(
-                    cluster.name,
-                    batched=self.engine == "block",
-                    store=store,
-                )
-                self._instrument(cluster, probe)
-                self._install_hooks(cluster, probe)
-                testcase.apply(cluster)
+                with tel.span("dynamic.instrument", testcase=testcase.name):
+                    self._instrument(cluster, probe)
+                    self._install_hooks(cluster, probe)
+                    testcase.apply(cluster)
                 simulator = Simulator(cluster, engine=self.engine)
                 with tel.span("dynamic.simulate", testcase=testcase.name):
                     simulator.run(testcase.duration)
                     simulator.finish()
-                initial_tokens = {
-                    sig.name: (sig.driver.delay if sig.driver is not None else 0)
-                    for sig in cluster.signals
-                }
                 with tel.span("dynamic.match", testcase=testcase.name):
                     match = match_events(
                         probe,
                         testcase.name,
                         self.static.model_start_lines,
-                        initial_tokens,
                         warn=self.warn,
-                        matcher=self.matcher,
-                        telemetry=tel,
                     )
-                if tel.enabled:
-                    nv, nw, nr = probe.event_counts()
-                    events = {
-                        "var_events": nv,
-                        "port_writes": nw,
-                        "port_reads": nr,
-                    }
-                    for kind, count in events.items():
-                        tc_span.set_attribute(kind, count)
-                        tel.metrics.counter(
-                            f"instrument.{kind}", cluster=cluster.name
-                        ).inc(count)
-                    tc_span.set_attribute("exercised_pairs", len(match.pairs))
-                    tel.metrics.counter(
-                        "instrument.testcases", cluster=cluster.name
-                    ).inc()
-                return match
             finally:
-                if store is not None:
-                    store.close()
+                probe.release()
+            if tel.enabled:
+                _nv, nw, nr = probe.event_counts()
+                for kind, count in (("port_writes", nw), ("port_reads", nr)):
+                    tc_span.set_attribute(kind, count)
+                    tel.metrics.counter(
+                        f"instrument.{kind}", cluster=cluster.name
+                    ).inc(count)
+                tc_span.set_attribute("exercised_pairs", len(match.pairs))
+                tel.metrics.counter(
+                    "instrument.testcases", cluster=cluster.name
+                ).inc()
+            return match
 
     def run_suite(self, suite: TestSuite) -> DynamicResult:
         """Run every testcase of ``suite`` in order."""
@@ -223,12 +197,16 @@ class DynamicAnalyzer:
         if port.signal is None:
             return
         model = probe.cluster_name if kind is WriterKind.REDEF else module.name
+        sites = probe.write_index(port.signal.name)
+        site = probe.write_site(var, model, line, kind)
+        counts = probe.counts
 
         def hook(p: TdfOut, index: int, value, offset: int) -> None:
-            probe.generic_write(p, index, var, model, line, kind)
+            sites[index] = site
+            counts[0] += 1
 
-        # Marker consumed by the engine compiler: a hook carrying it is a
-        # pure probe-event recorder whose effect the compiled program can
-        # replay without firing the interpreted write path.
-        hook.__dft_probe_writer__ = (probe, var, model, line, kind)
+        # Marker consumed by the engine compiler: a hook carrying it only
+        # updates the write index, so the compiled program can do that
+        # itself without firing the interpreted write path.
+        hook.__dft_probe_writer__ = (sites, site, counts)
         port.add_write_hook(hook)

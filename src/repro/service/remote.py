@@ -131,8 +131,6 @@ class RemoteExecutor(DynamicExecutor):
         warn: bool,
         record_telemetry: bool,
         engine: Optional[str],
-        probe_store,
-        matcher: str,
     ) -> Dict[str, Any]:
         job: Dict[str, Any] = {
             "factory_ref": self.factory_ref,
@@ -145,14 +143,7 @@ class RemoteExecutor(DynamicExecutor):
             "warn": warn,
             "record_telemetry": record_telemetry,
             "engine": engine if engine is not None else "auto",
-            "matcher": matcher,
         }
-        if probe_store is not None:
-            job["probe_store"] = {
-                "kind": probe_store.kind,
-                "chunk_size": probe_store.chunk_size,
-                "spill_dir": probe_store.spill_dir,
-            }
         return job
 
     def _dispatch_shard(
@@ -198,8 +189,6 @@ class RemoteExecutor(DynamicExecutor):
         warn: bool = False,
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
-        probe_store=None,
-        matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
 
@@ -222,10 +211,7 @@ class RemoteExecutor(DynamicExecutor):
 
         shards = round_robin_shards(names, self.workers)
         jobs = [
-            self._shard_job(
-                shard, static, warn, tel.enabled, engine,
-                probe_store, matcher,
-            )
+            self._shard_job(shard, static, warn, tel.enabled, engine)
             for shard in shards
         ]
         per_name: Dict[str, "MatchResult"] = {}

@@ -11,9 +11,10 @@ program has four parts:
 * **pre ops** — *windowable* block-capable modules whose entire input
   cone is also hoisted: fired once per execution window, producing
   ``window × repetitions`` samples in a single ``processing_block``
-  call.  Their probe write events (if any) are re-emitted at the
-  canonical schedule positions by event ops, so the global event order
-  is identical to the interpreter's.
+  call.  Their probe write events (if any) are replayed at the
+  canonical schedule positions by event ops, so every write reaches the
+  probe's write index before any consumer reads the token — the order
+  the interpreter has.
 * **core ops** — everything in between, in PASS order: per-firing
   specialised SISO ops (gain/delay/buffer), per-period coalesced block
   ops, generic interpreted firings (instrumented or user-defined
@@ -52,7 +53,8 @@ class _ModuleInfo:
         self.capable = False
         self.windowable = False
         self.reasons: List[str] = []
-        #: ``(out_port, [marker_info, ...])`` for probe-marked write hooks.
+        #: ``(out_port, [(write index, site, counts), ...])`` for
+        #: probe-marked write hooks.
         self.event_specs: List[Tuple[Any, List[tuple]]] = []
         self.siso: Optional[str] = None  # "gain" | "copy" | None
 
@@ -193,36 +195,42 @@ class _WindowRollback:
             )
 
 
-def _make_event_op(port, infos, cell, batched_buf):
-    """Probe write events of one hoisted firing, emitted at its
+def _make_write_event(infos):
+    """``event(index)``: store the write site(s) of a probe-marked
+    hook into the write index, as the hook itself would."""
+    if len(infos) == 1:
+        sites, site, counts = infos[0]
+
+        def event(index, sites=sites, site=site, counts=counts):
+            sites[index] = site
+            counts[0] += 1
+
+        return event
+
+    def event(index, infos=infos):
+        for sites, site, counts in infos:
+            sites[index] = site
+            counts[0] += 1
+
+    return event
+
+
+def _make_event_op(infos, cell):
+    """Probe write events of one hoisted firing, replayed at its
     canonical position in the period with a running token counter."""
-    sig_name = port.signal.name
-    if batched_buf is not None and len(infos) == 1:
-        from ...instrument.probes import TAG_PW
+    event = _make_write_event(infos)
 
-        append = batched_buf.append
-        _probe, var, model, line, kind = infos[0]
-
-        def op(base_fs, cell=cell, append=append, sig_name=sig_name,
-               var=var, model=model, line=line, kind=kind):
-            index = cell[0]
-            cell[0] = index + 1
-            append((TAG_PW, sig_name, index, var, model, line, kind))
-
-        return op
-
-    def op(base_fs, cell=cell, port=port, infos=infos):
+    def op(base_fs, cell=cell, event=event):
         index = cell[0]
         cell[0] = index + 1
-        for probe, var, model, line, kind in infos:
-            probe.generic_write(port, index, var, model, line, kind)
+        event(index)
 
     return op
 
 
 def _make_siso_op(module, kind, event_infos):
     """Specialised per-firing op for uninstrumented gain/delay/buffer:
-    direct token move with an inline probe event, no FiringBlock."""
+    direct token move with an inline probe write event, no FiringBlock."""
     in_port = module.in_ports()[0]
     out_port = module.out_ports()[0]
     in_sig = in_port.signal
@@ -232,25 +240,7 @@ def _make_siso_op(module, kind, event_infos):
     out_tokens = out_sig._tokens
     is_gain = kind == "gain"
 
-    event = None
-    if event_infos:
-        port, infos = event_infos
-        batched_buf = getattr(infos[0][0], "_buf", None)
-        if batched_buf is not None and len(infos) == 1:
-            from ...instrument.probes import TAG_PW
-
-            append = batched_buf.append
-            _probe, var, model, line, wkind = infos[0]
-            sig_name = out_sig.name
-
-            def event(index, a=append, s=sig_name, v=var, m=model, l=line, k=wkind):
-                a((TAG_PW, s, index, v, m, l, k))
-
-        else:
-
-            def event(index, port=out_port, infos=infos):
-                for probe, var, model, line, wkind in infos:
-                    probe.generic_write(port, index, var, model, line, wkind)
+    event = _make_write_event(event_infos[1]) if event_infos else None
 
     def op(base_fs, module=module, in_port=in_port, out_port=out_port,
            in_sig=in_sig, out_sig=out_sig, in_key=in_key, cursors=cursors,
@@ -477,10 +467,7 @@ def compile_program(simulator, schedule) -> CompiledProgram:
         info = info_map[module]
         if module in pre:
             for port, infos in info.event_specs:
-                batched_buf = getattr(infos[0][0], "_buf", None)
-                program.core_ops.append(
-                    _make_event_op(port, infos, cell_map[id(port)], batched_buf)
-                )
+                program.core_ops.append(_make_event_op(infos, cell_map[id(port)]))
             block_firings += 1
             i += 1
             continue

@@ -9,10 +9,9 @@ cursor into that stream; a reader whose input port declares a delay of
 before it sees the first real token.
 
 The global token index is the backbone of the dynamic data-flow
-analysis: a *definition* event recorded at write time and a *use* event
-recorded at read time are joined on ``(signal, token_index)``, which is
-exact because the kernel is deterministic (see
-:mod:`repro.instrument.matching`).
+analysis: a *definition* stored under ``(signal, token_index)`` at write
+time is looked up by the *use* that reads that token, which is exact
+because the kernel is deterministic (see :mod:`repro.instrument.matching`).
 """
 
 from __future__ import annotations

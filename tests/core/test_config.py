@@ -51,19 +51,11 @@ class TestFromArgs:
         assert cfg.engine == "interp"
         assert cfg.workers == 3
 
-    def test_matcher_flag_folds_in(self):
-        assert DftConfig().matcher == "auto"
-        cfg = DftConfig.from_args(argparse.Namespace(matcher="vector"))
-        assert cfg.matcher == "vector"
-
-    def test_matcher_never_enters_config_hash(self):
-        # All matchers are result-identical, so cached dynamic results
-        # and history fingerprints must not fragment on the knob.
-        hashes = {
-            DftConfig(matcher=matcher).config_hash()
-            for matcher in ("auto", "scan", "vector")
-        }
-        assert len(hashes) == 1
+    def test_removed_matcher_and_store_flags_ignored(self):
+        # The removed --matcher / --probe-store flags no longer map onto
+        # the config, even if a namespace still carries them.
+        args = argparse.Namespace(matcher="vector", probe_store="columnar")
+        assert DftConfig.from_args(args) == DftConfig()
 
 
 class TestResolvedWorkers:
@@ -129,7 +121,7 @@ class TestSerialization:
     def test_round_trip(self):
         cfg = DftConfig(
             engine="block", seed=7, tolerance=0.5, warn=False,
-            matcher="columnar", budget_seconds=1.5, cache_dir="/tmp/x",
+            budget_seconds=1.5, cache_dir="/tmp/x",
         )
         assert DftConfig.from_json(cfg.to_json()) == cfg
 
@@ -165,7 +157,7 @@ class TestConfigFile:
         assert cfg.engine == "interp"
         assert cfg.seed == 11
         assert cfg.warn is False
-        assert cfg.matcher == DftConfig().matcher  # absent -> default
+        assert cfg.workers == DftConfig().workers  # absent -> default
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "dft.json"
@@ -197,6 +189,21 @@ class TestConfigFile:
         path.write_text('engine = "block"\nbatch_size = 8\n')
         with pytest.raises(ValueError, match=r"old.toml.*unknown config field\(s\): batch_size"):
             DftConfig.from_file(str(path))
+
+    @pytest.mark.parametrize(
+        "line", ['matcher = "scan"', 'probe_store = "columnar"',
+                 "store_chunk_size = 64", 'store_dir = "/tmp/spill"'],
+        ids=["matcher", "probe_store", "store_chunk_size", "store_dir"],
+    )
+    def test_removed_matcher_and_store_fields_name_path(self, tmp_path, line):
+        path = tmp_path / "old.toml"
+        path.write_text(f'engine = "block"\n{line}\n')
+        field = line.split(" ")[0]
+        with pytest.raises(
+            ValueError, match=rf"old.toml.*unknown config field\(s\): {field} "
+        ) as err:
+            DftConfig.from_file(str(path))
+        assert "\n" not in str(err.value)
 
     def test_unknown_field_names_path(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,8 +8,7 @@ Two contracts:
   only adds mass within the uncovered band, and with no guide the two
   functions coincide exactly;
 * *determinism* — a guided, frontier-targeted generation run is
-  byte-identical across ``--matcher scan|vector``,
-  ``--engine interp|block`` and ``--workers 1/2``.
+  byte-identical across ``--engine interp|block`` and ``--workers 1/2``.
 """
 
 from hypothesis import given, settings
@@ -114,12 +113,12 @@ class TestGuidedDeterminism:
             target_mode="frontier",
         )
 
-    def test_byte_identical_across_matcher_engine_workers(self):
-        baseline = self._generate(matcher="scan", engine="interp", workers=1)
+    def test_byte_identical_across_engine_workers(self):
+        baseline = self._generate(engine="interp", workers=1)
         variants = [
-            self._generate(matcher="vector", engine="interp", workers=1),
-            self._generate(matcher="scan", engine="block", workers=1),
-            self._generate(matcher="vector", engine="block", workers=2),
+            self._generate(engine="block", workers=1),
+            self._generate(engine="interp", workers=2),
+            self._generate(engine="block", workers=2),
         ]
         base_bytes = suite_bytes(baseline)
         for variant in variants:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from instrument.oracle import RecordingProbe
 from repro.instrument.instrumenter import instrument_processing, restore_processing
-from repro.instrument.probes import ProbeRuntime
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
@@ -32,7 +32,7 @@ def _run(module_cls=Sample, periods=3, src_value=2.0):
             self.connect(self.dut.op, self.sink.ip)
 
     top = Top("top")
-    probe = ProbeRuntime("top")
+    probe = RecordingProbe("top")
     instrument_processing(top.dut, probe)
     Simulator(top).run_periods(periods)
     return top, probe

@@ -1,183 +1,155 @@
-"""Vectorized matching kernel: dispatch, semantics, scan equivalence.
+"""Pairing semantics on hand-built probe streams: online ≡ oracle.
 
-The vector kernel (:mod:`repro.instrument.matchkernel`) must be
-result-identical to the scan matchers on every stream — same pair set,
-same ``use_without_def`` order, same warning count — and
-``match_events`` must degrade to scan gracefully whenever the kernel
-cannot run (no numpy, per-event probe).
+Every stream below goes through the online matcher
+(:class:`~repro.instrument.probes.ProbeRuntime`) and through the
+post-hoc oracle (:mod:`instrument.oracle`) via the same binding API the
+instrumenter, write hooks and engine ops use.  Each test asserts that
+both report the same pairs and the same use-without-def order first
+(via ``_both``), then pins the expected content so a regression in
+*both* cannot hide.
 """
 
-import warnings
+import bisect
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from instrument.oracle import (
+    RecordingProbe,
+    delayed_factory,
+    oracle_match,
+    oracle_runner,
+    paper_system,
+)
 from repro.analysis import analyze_cluster
-from repro.instrument import DynamicAnalyzer
-from repro.instrument import matchkernel
-from repro.instrument.matching import MATCHERS, match_events
+from repro.instrument import DynamicAnalyzer, runner
+from repro.instrument.matching import match_events
 from repro.instrument.probes import (
+    LAST_DEF_NAME,
+    LOOKUP_NAME,
+    USE_SITE_PREFIX,
     ProbeRuntime,
     UseWithoutDefWarning,
     WriterKind,
 )
-from repro.obs import Telemetry
-from repro.obs.store import ColumnarProbeStore, ProbeStoreSpec
 from repro.testing import TestSuite
-from repro.testing.generate import (
-    build_cluster,
-    random_suite,
-    rate_strategy,
-    values_strategy,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not matchkernel.HAVE_NUMPY, reason="numpy not installed"
-)
+from repro.testing.generate import random_suite
 
 MODEL = WriterKind.MODEL
 TESTBENCH = WriterKind.TESTBENCH
 
 
 def USE(var, model, line):
-    return (0, var, model, line)
+    return ("use", var, model, line)
 
 
 def DEF(var, model, line):
-    return (1, var, model, line)
+    return ("def", var, model, line)
 
 
 def PW(signal, token, var, model, line, kind=MODEL):
-    return (2, signal, token, var, model, line, kind)
+    return ("pw", signal, token, var, model, line, kind)
 
 
-def PR(signal, token, port, reader, anchor, line, undriven=False):
-    return (3, signal, token, port, reader, anchor, line, undriven)
+def PR(signal, token, port, reader, line, undriven=False):
+    return ("pr", signal, token, port, reader, line, undriven)
 
 
-def _probe(events, store=None):
-    probe = ProbeRuntime("top", batched=True, store=store)
+class _Signal:
+    def __init__(self, name, driven):
+        self.name = name
+        self.driver = object() if driven else None
+        self.initial_value = 0.0
+        self._cursors = {}
+        self._base_index = 0
+        self._tokens = []
+
+    def _value_at(self, index, port):
+        return 0.0
+
+
+class _Port:
+    """A bound input port positioned at one token, for either probe."""
+
+    rate = 1
+    bind_site = None
+    _in_activation = True
+
+    def __init__(self, name, signal, token):
+        self.name = name
+        self.signal = signal
+        self._read_hooks = []
+        signal._cursors[id(self)] = token
+
+    def global_index(self, offset=0):
+        return self.signal._cursors[id(self)] + offset
+
+    def read(self, offset=0):
+        return 0.0
+
+
+class _Reader:
+    OPAQUE_USES = False
+
+    def __init__(self, name):
+        self.name = name
+
+
+def _feed(probe, events):
+    """Drive ``events`` through ``probe``'s instrumentation bindings."""
+    use_sites = {}
     for event in events:
-        probe._buf.append(event)
-    return probe
+        if event[0] == "use":
+            sites = use_sites.setdefault(event[2], [])
+            if (event[1], event[3]) not in sites:
+                sites.append((event[1], event[3]))
+    models = {event[2] for event in events if event[0] in ("def", "use")}
+    bindings = {
+        model: probe.bind_sites(model, tuple(use_sites.get(model, ())))
+        for model in sorted(models)
+    }
+    signals = {}
+    for event in events:
+        tag = event[0]
+        if tag == "def":
+            _, var, model, line = event
+            bindings[model][LAST_DEF_NAME][var] = line
+        elif tag == "use":
+            _, var, model, line = event
+            g = bindings[model]
+            idx = use_sites[model].index((var, line))
+            g[f"{USE_SITE_PREFIX}{idx}__"](g[LOOKUP_NAME](var))
+        elif tag == "pw":
+            _, signal, token, var, model, line, kind = event
+            probe.write_index(signal)[token] = probe.write_site(var, model, line, kind)
+        else:
+            _, signal, token, port, reader, line, undriven = event
+            sig = signals.setdefault(signal, _Signal(signal, not undriven))
+            probe.pr(_Reader(reader), _Port(port, sig, token), line)
 
 
-def _match(events, matcher, starts=None, warn=False, chunk=None):
-    store = None
-    if chunk is not None:
-        store = ColumnarProbeStore(chunk_size=chunk)
-    probe = _probe(events, store=store)
-    try:
-        return match_events(
-            probe, "tc", starts or {}, {}, warn=warn, matcher=matcher
-        )
-    finally:
-        if store is not None:
-            store.close()
+def _online(events, starts=None, warn=False):
+    probe = ProbeRuntime("top")
+    _feed(probe, events)
+    return match_events(probe, "tc", starts or {}, warn=warn)
 
 
-def _both(events, starts=None, chunk=None):
-    """Scan and vector results for the same stream, asserted equal."""
-    scan = _match(events, "scan", starts=starts, chunk=chunk)
-    vector = _match(events, "vector", starts=starts, chunk=chunk)
-    assert vector.pairs == scan.pairs
-    assert vector.use_without_def == scan.use_without_def
-    return vector
+def _oracle(events, starts=None, warn=False):
+    probe = RecordingProbe("top")
+    _feed(probe, events)
+    return oracle_match(probe, "tc", starts or {}, warn=warn)
 
 
-class TestDispatch:
-    def test_unknown_matcher_rejected(self):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            _match([], "simd")
-
-    def test_matchers_tuple_is_the_knob_domain(self):
-        assert MATCHERS == ("auto", "scan", "vector")
-
-    def test_per_event_probe_falls_back_to_scan(self):
-        # The interpreter engine records dataclasses — no tuple buffer
-        # to columnize, so even an explicit vector request scans.
-        from repro.instrument.probes import VarEvent
-
-        probe = ProbeRuntime("top")
-        probe.var_events += [
-            VarEvent(True, "x", "m", 10, 1),
-            VarEvent(False, "x", "m", 11, 2),
-        ]
-        tel = Telemetry()
-        result = match_events(
-            probe, "tc", {}, {}, warn=False, matcher="vector", telemetry=tel
-        )
-        assert result.pairs == {("x", "m", 10, "m", 11)}
-        run = tel.to_run()
-        reasons = {
-            record["labels"].get("reason"): record["value"]
-            for record in run["metrics"]
-            if record["name"] == "instrument.match_fallback"
-        }
-        assert reasons == {"per_event_probe": 1}
-
-    def test_no_numpy_falls_back_to_scan(self, monkeypatch):
-        events = [DEF("x", "m", 10), USE("x", "m", 11)]
-        expected = _match(events, "scan")
-        tel = Telemetry()
-        with monkeypatch.context() as mp:
-            mp.setattr(matchkernel, "HAVE_NUMPY", False)
-            probe = _probe(events)
-            result = match_events(
-                probe, "tc", {}, {}, warn=False, matcher="vector",
-                telemetry=tel,
-            )
-        assert result.pairs == expected.pairs
-        runs = {
-            record["labels"].get("path"): record["value"]
-            for record in tel.to_run()["metrics"]
-            if record["name"] == "instrument.match_runs"
-        }
-        assert runs == {"scan": 1}
-
-    @needs_numpy
-    def test_auto_vectorizes_streaming_stores_only(self):
-        tel = Telemetry()
-        store = ColumnarProbeStore(chunk_size=4)
-        try:
-            probe = _probe([DEF("x", "m", 10), USE("x", "m", 11)], store=store)
-            match_events(probe, "tc", {}, {}, warn=False, matcher="auto",
-                         telemetry=tel)
-        finally:
-            store.close()
-        probe = _probe([DEF("x", "m", 10), USE("x", "m", 11)])
-        match_events(probe, "tc", {}, {}, warn=False, matcher="auto",
-                     telemetry=tel)
-        runs = {
-            record["labels"].get("path"): record["value"]
-            for record in tel.to_run()["metrics"]
-            if record["name"] == "instrument.match_runs"
-        }
-        assert runs == {"vector": 1, "scan": 1}
-
-    @needs_numpy
-    def test_vector_telemetry_counts_rows(self):
-        tel = Telemetry()
-        events = [DEF("x", "m", 10), USE("x", "m", 11), USE("x", "m", 12)]
-        probe = _probe(events)
-        match_events(probe, "tc", {}, {}, warn=False, matcher="vector",
-                     telemetry=tel)
-        scanned = {
-            record["labels"].get("path"): record["value"]
-            for record in tel.to_run()["metrics"]
-            if record["name"] == "instrument.match_events_scanned"
-        }
-        assert scanned == {"vector": len(events)}
+def _both(events, starts=None):
+    """Online and oracle results for the same stream, asserted equal."""
+    online = _online(events, starts=starts)
+    oracle = _oracle(events, starts=starts)
+    assert online.pairs == oracle.pairs
+    assert online.use_without_def == oracle.use_without_def
+    return online
 
 
-@needs_numpy
 class TestKernelSemantics:
-    """Hand-built streams covering every scan-matcher edge case.
-
-    Each test asserts vector == scan first (via ``_both``), then pins
-    the expected content so a regression in *both* paths cannot hide.
-    """
+    """Hand-built streams covering every pairing edge case."""
 
     def test_var_last_def_wins(self):
         result = _both([
@@ -198,8 +170,8 @@ class TestKernelSemantics:
         assert _both([USE("x", "m", 11), DEF("x", "m", 10)]).pairs == set()
 
     def test_group_cummax_does_not_leak_across_groups(self):
-        # Sorted by (model, var) key, group ('a', 'x') holds a def whose
-        # cummax position must not satisfy group ('b', 'x')'s use.
+        # A def of ('a', 'x') must not satisfy a use of ('b', 'x'),
+        # even when it is the most recent def of any 'x'.
         result = _both([
             DEF("x", "a", 10),
             USE("x", "b", 20),
@@ -209,46 +181,80 @@ class TestKernelSemantics:
         assert result.pairs == {("y", "b", 30, "b", 31)}
 
     def test_floor_join_sample_and_hold(self):
-        result = _both([PW("s", 0, "op", "w", 30), PR("s", 3, "ip", "r", "r", 40)])
+        result = _both([PW("s", 0, "op", "w", 30), PR("s", 3, "ip", "r", 40)])
         assert result.pairs == {("op", "w", 30, "r", 40)}
 
     def test_floor_requires_same_signal(self):
-        # The searchsorted floor for t's read lands on s's last write in
-        # the combined key space; the same-signal check must reject it.
+        # s's write is the greatest written token below t's read index
+        # over all signals; only t's own writes may satisfy the floor.
         result = _both([
-            PW("s", 5, "op", "w", 30),
-            PR("t", 2, "ip", "r", "r", 40),
+            PW("s", 1, "op", "w", 30),
+            PR("t", 2, "ip", "r", 40),
         ])
         assert result.pairs == set()
 
     def test_no_write_at_or_below_token_skipped(self):
-        result = _both([PW("s", 5, "op", "w", 30), PR("s", 2, "ip", "r", "r", 40)])
+        result = _both([PW("s", 5, "op", "w", 30), PR("s", 2, "ip", "r", 40)])
         assert result.pairs == set()
 
     def test_negative_token_is_initial_value(self):
-        result = _both([PW("s", 0, "op", "w", 30), PR("s", -1, "ip", "r", "r", 40)])
+        result = _both([PW("s", 0, "op", "w", 30), PR("s", -1, "ip", "r", 40)])
         assert result.pairs == set()
 
     def test_last_write_by_sequence_wins(self):
         result = _both([
             PW("s", 0, "op", "w", 30),
             PW("s", 0, "op", "w", 33),
-            PR("s", 0, "ip", "r", "r", 40),
+            PR("s", 0, "ip", "r", 40),
         ])
         assert result.pairs == {("op", "w", 33, "r", 40)}
 
     def test_reads_resolve_after_all_writes(self):
-        # The scan matcher buffers reads until the write map is
-        # complete; a write recorded *after* the read still pairs.
-        result = _both([
-            PR("s", 0, "ip", "r", "r", 40),
-            PW("s", 0, "op", "w", 30),
-        ])
-        assert result.pairs == {("op", "w", 30, "r", 40)}
+        """The invariant that makes the online floor exact: in a real
+        run, every write at token ``<= i`` of a signal precedes the read
+        of its token ``i`` — across engines, multirate windows and
+        reader/writer delays, testbench and redefining writes included."""
+        factory, static, suite = paper_system("sensor")
+        runs = [(factory, static, suite)]
+        for values, up, down, d_in, d_out in [
+            ([0.5, -1.0, 2.0], 3, 2, 2, 0),
+            ([1.0, 0.25], 2, 3, 0, 2),
+            ([0.0, 3.0, -2.0, 1.0], 1, 2, 1, 1),
+        ]:
+            delayed = delayed_factory(values, up, down, d_in, d_out)
+            runs.append(
+                (delayed, analyze_cluster(delayed()), TestSuite("random", random_suite(3)))
+            )
+        streams = []
+
+        def capture(probe, *args, **kwargs):
+            streams.append((list(probe.port_writes), list(probe.port_reads)))
+            return oracle_match(probe, *args, **kwargs)
+
+        with oracle_runner(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runner, "match_events", capture)
+            for factory, static, suite in runs:
+                for engine in ("interp", "block"):
+                    DynamicAnalyzer(factory, static, engine=engine).run_suite(suite)
+        assert streams and all(reads for _writes, reads in streams)
+        for writes, reads in streams:
+            # Per signal: tokens ascending, with the running max write seq.
+            per_signal = {}
+            for w in sorted(writes, key=lambda w: w.token_index):
+                tokens, last_seq = per_signal.setdefault(w.signal, ([], []))
+                tokens.append(w.token_index)
+                last_seq.append(max(w.seq, last_seq[-1] if last_seq else 0))
+            for r in reads:
+                if r.undriven or r.token_index < 0 or r.signal not in per_signal:
+                    continue
+                tokens, last_seq = per_signal[r.signal]
+                pos = bisect.bisect_right(tokens, r.token_index) - 1
+                if pos >= 0:
+                    assert last_seq[pos] < r.seq, (r.signal, r.token_index)
 
     def test_testbench_write_pairs_with_placeholder(self):
         result = _both(
-            [PW("s", 0, "op", "tb", 0, TESTBENCH), PR("s", 0, "ip", "r", "r", 40)],
+            [PW("s", 0, "op", "tb", 0, TESTBENCH), PR("s", 0, "ip", "r", 40)],
             starts={"r": 7},
         )
         assert result.pairs == {("ip", "r", 7, "r", 40)}
@@ -256,27 +262,28 @@ class TestKernelSemantics:
     def test_testbench_without_start_line_skipped(self):
         result = _both([
             PW("s", 0, "op", "tb", 0, TESTBENCH),
-            PR("s", 0, "ip", "r", "r", 40),
+            PR("s", 0, "ip", "r", 40),
         ])
         assert result.pairs == set()
 
     def test_undriven_reported_once_in_stream_order(self):
         result = _both([
-            PR("s", 0, "ipb", "rb", "rb", 40, undriven=True),
-            PR("t", 0, "ipa", "ra", "ra", 41, undriven=True),
-            PR("s", 1, "ipb", "rb", "rb", 40, undriven=True),
+            PR("s", 0, "ipb", "rb", 40, undriven=True),
+            PR("t", 0, "ipa", "ra", 41, undriven=True),
+            PR("s", 1, "ipb", "rb", 40, undriven=True),
         ])
         assert result.use_without_def == ["rb.ipb", "ra.ipa"]
         assert result.pairs == set()
 
     def test_undriven_warning_count_matches_scan(self):
+        # The oracle is a post-hoc scan over the recorded reads.
         events = [
-            PR("s", 0, "ip", "r", "r", 40, undriven=True),
-            PR("s", 1, "ip", "r", "r", 40, undriven=True),
+            PR("s", 0, "ip", "r", 40, undriven=True),
+            PR("s", 1, "ip", "r", 40, undriven=True),
         ]
-        for matcher in ("scan", "vector"):
+        for match in (_online, _oracle):
             with pytest.warns(UseWithoutDefWarning, match="no driver") as rec:
-                _match(events, matcher, warn=True)
+                match(events, warn=True)
             assert len(rec) == 1
 
     def test_pair_dedup(self):
@@ -284,20 +291,8 @@ class TestKernelSemantics:
         result = _both(
             [DEF("x", "m", 10), USE("x", "m", 11)] * 5
             + [PW("s", t, "op", "w", 30) for t in range(5)]
-            + [PR("s", t, "ip", "r", "r", 40) for t in range(5)]
+            + [PR("s", t, "ip", "r", 40) for t in range(5)]
         )
-        assert result.pairs == {
-            ("x", "m", 10, "m", 11),
-            ("op", "w", 30, "r", 40),
-        }
-
-    def test_spilled_store_chunks_concatenate(self):
-        events = (
-            [DEF("x", "m", 10), USE("x", "m", 11)] * 9
-            + [PW("s", t, "op", "w", 30) for t in range(9)]
-            + [PR("s", t, "ip", "r", "r", 40) for t in range(9)]
-        )
-        result = _both(events, chunk=5)  # forces multiple spilled chunks
         assert result.pairs == {
             ("x", "m", 10, "m", 11),
             ("op", "w", 30, "r", 40),
@@ -306,54 +301,3 @@ class TestKernelSemantics:
     def test_empty_stream(self):
         result = _both([])
         assert result.pairs == set() and result.use_without_def == []
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    values=values_strategy(max_size=6),
-    up=rate_strategy(),
-    down=rate_strategy(),
-    store=st.sampled_from(["memory", "columnar"]),
-    use_numpy=st.booleans(),
-)
-def test_vector_equals_scan_property(values, up, down, store, use_numpy):
-    """Property (issue satellite): on random multirate clusters the
-    vector matcher's pairs, diagnostics order and warning count equal
-    the scan matcher's — per store backend, and with numpy masked out
-    (where vector degrades to scan)."""
-    from _pytest.monkeypatch import MonkeyPatch
-
-    factory = lambda: build_cluster(values, up, down)
-    static = analyze_cluster(factory())
-    suite = TestSuite("random", random_suite(5))
-    spec = (
-        ProbeStoreSpec(kind="columnar", chunk_size=32)
-        if store == "columnar"
-        else None
-    )
-
-    def run(matcher):
-        analyzer = DynamicAnalyzer(
-            factory, static, warn=True, probe_store=spec, matcher=matcher
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = analyzer.run_suite(suite)
-        warned = sum(
-            1 for w in caught if issubclass(w.category, UseWithoutDefWarning)
-        )
-        return result, warned
-
-    with MonkeyPatch.context() as mp:
-        if not use_numpy:
-            mp.setattr(matchkernel, "HAVE_NUMPY", False)
-        scan, scan_warned = run("scan")
-        vector, vector_warned = run("vector")
-    assert vector_warned == scan_warned
-    assert list(vector.per_testcase) == list(scan.per_testcase)
-    for name, match in scan.per_testcase.items():
-        assert vector.per_testcase[name].pairs == match.pairs
-        assert (
-            vector.per_testcase[name].use_without_def
-            == match.use_without_def
-        )

@@ -112,6 +112,23 @@ class TestSubmitValidation:
         assert err.value.status == 400
         assert "unknown config field(s): batch_size" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("matcher", "vector"), ("probe_store", "columnar"),
+         ("store_chunk_size", 64), ("store_dir", "/tmp/spill")],
+        ids=["matcher", "probe_store", "store_chunk_size", "store_dir"],
+    )
+    def test_removed_matcher_and_store_fields_are_400(self, server, field, value):
+        _, addr = server
+        with pytest.raises(ServiceError) as err:
+            submit_job(
+                addr,
+                {"kind": "run", "system": "sensor", "config": {field: value}},
+            )
+        assert err.value.status == 400
+        assert f"unknown config field(s): {field} " in str(err.value)
+        assert "\n" not in str(err.value)
+
     def test_unknown_spec_field_is_400(self, server):
         _, addr = server
         with pytest.raises(ServiceError) as err:

@@ -2,8 +2,8 @@
 
 The compiled block engine (:mod:`repro.tdf.engine`) must be an exact
 drop-in for the per-firing interpreter: identical sample streams,
-identical traced signals, identical probe event streams (content *and*
-global order), identical exercised def-use pairs — for every cluster,
+identical traced signals, identical probe event counts, identical
+exercised def-use pairs and diagnostics — for every cluster,
 including multirate ones where the compiler partitions the schedule into
 hoisted block runs, specialised SISO ops and interpreted fallbacks.
 """
@@ -11,8 +11,8 @@ hoisted block runs, specialised SISO ops and interpreted fallbacks.
 import pytest
 from hypothesis import given, settings
 
+from instrument.oracle import PortReadEvent, PortWriteEvent, RecordingProbe, VarEvent
 from repro.instrument import ProbeRuntime, instrument_processing
-from repro.instrument.probes import PortReadEvent, PortWriteEvent, VarEvent
 from repro.tdf import Cluster, Simulator, TdfModule, TdfOut, Tracer, ms
 from repro.tdf.engine import BlockEngine, compile_program, resolve_engine
 from repro.tdf.library import CollectorSink
@@ -29,10 +29,10 @@ from repro.testing.generate import (
 )
 
 
-def _execute(engine, values, up_rate, down_rate):
+def _execute(engine, values, up_rate, down_rate, probe_cls=ProbeRuntime):
     """One instrumented simulation; returns (sink trace, probe)."""
     top = _build(values, up_rate, down_rate)
-    probe = ProbeRuntime("top", batched=engine == "block")
+    probe = probe_cls("top")
     instrument_processing(top.dut, probe)
     sim = Simulator(top, engine=engine)
     sim.run(ms(BASE_MS * len(values)))
@@ -44,15 +44,21 @@ class TestEquivalenceProperties:
     @settings(max_examples=25, deadline=None)
     @given(values_strategy(), rate_strategy(), rate_strategy())
     def test_traces_and_probe_streams_identical(self, values, up_rate, down_rate):
-        """Sample stream and full probe event streams match event-for-event."""
+        """Sample stream, port event counts, pairs and diagnostics match,
+        and so do the recorded probe event streams event-for-event."""
         trace_i, probe_i = _execute("interp", values, up_rate, down_rate)
         trace_b, probe_b = _execute("block", values, up_rate, down_rate)
         assert trace_b == trace_i
-        # Dataclass views of the batched buffer must equal the per-event
-        # records including the global sequence numbers (= event order).
-        assert probe_b.var_events == probe_i.var_events
-        assert probe_b.port_writes == probe_i.port_writes
-        assert probe_b.port_reads == probe_i.port_reads
+        assert probe_b.event_counts() == probe_i.event_counts()
+        assert probe_b.pairs({}) == probe_i.pairs({})
+        assert probe_b.use_without_def() == probe_i.use_without_def()
+        # The per-event recordings must agree including the global
+        # sequence numbers (= event order).
+        _, rec_i = _execute("interp", values, up_rate, down_rate, RecordingProbe)
+        _, rec_b = _execute("block", values, up_rate, down_rate, RecordingProbe)
+        assert rec_b.var_events == rec_i.var_events
+        assert rec_b.port_writes == rec_i.port_writes
+        assert rec_b.port_reads == rec_i.port_reads
 
     @settings(max_examples=10, deadline=None)
     @given(values_strategy(max_size=8), rate_strategy(), rate_strategy())
@@ -132,7 +138,7 @@ class TestDynamicTdfUnderBlock:
 class TestCompilerClassification:
     def test_fallback_reasons_and_partition(self):
         top = _build([1.0, 2.0], 3, 2)
-        probe = ProbeRuntime("top", batched=True)
+        probe = ProbeRuntime("top")
         instrument_processing(top.dut, probe)
         sim = Simulator(top, engine="block")
         sim.initialize()
@@ -179,7 +185,8 @@ class TestResolveEngine:
 
 
 class TestProbeEventSlots:
-    """PR satellite: the hot event dataclasses must stay __dict__-free."""
+    """The oracle's per-event records must stay __dict__-free: a paper
+    suite records millions of them."""
 
     @pytest.mark.parametrize("cls,args", [
         (VarEvent, (True, "v", "m", 1, 1)),
